@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.device.mosfet import Mosfet, MosfetParameters
+from repro.device.mosfet import _MAX_EXP_ARG, Mosfet, MosfetParameters
 from repro.errors import DeviceModelError
 
 __all__ = [
@@ -27,37 +27,6 @@ __all__ = [
 ]
 
 _BISECTION_STEPS = 80
-
-
-def _vds_for_current(
-    device: Mosfet,
-    source_voltage: float,
-    target_current: float,
-    vdd: float,
-    vt_shift: float,
-) -> float:
-    """Smallest V_ds at which an off device carries ``target_current``.
-
-    The device's gate is grounded, its source sits at ``source_voltage``
-    (so V_gs = -source_voltage).  Current is monotone increasing in
-    V_ds, so bisection applies.  Returns ``vdd`` if the device cannot
-    carry the target current even with the full supply across it.
-    """
-    vgs = -source_voltage
-
-    def current(vds: float) -> float:
-        return device.drain_current(vgs, vds, vt_shift)
-
-    if current(vdd) <= target_current:
-        return vdd
-    low, high = 0.0, vdd
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (low + high)
-        if current(mid) < target_current:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
 
 
 def stack_leakage_current(
@@ -73,6 +42,15 @@ def stack_leakage_current(
     voltage follows from current continuity.  We bisect on the current
     (log domain): for a trial current, accumulate the V_ds each device
     needs, then compare the total against V_DD.
+
+    Each device's V_ds is itself a bisection (current is monotone
+    increasing in V_ds; a device that cannot carry the trial current
+    even with the full supply across it drops all of V_DD).  Its
+    V_gs is minus its source voltage.  That inner loop runs
+    :meth:`Mosfet.drain_current
+    <repro.device.mosfet.Mosfet.drain_current>` inline, with the same
+    float-op sequence, because it is the innermost loop of every
+    leakage query.
 
     Parameters
     ----------
@@ -104,26 +82,68 @@ def stack_leakage_current(
     upper = min(d.off_current(vdd, vt_shift) for d in devices)
     if upper <= 0.0:
         return 0.0
-    lower = upper * 1e-12
 
-    def total_drop(current: float) -> float:
+    exp = math.exp
+    p = parameters
+    drives = [(p.i_spec * d.width_um, p.k_drive * d.width_um) for d in devices]
+    vt0s = p.vt0 + vt_shift
+    dibl = p.dibl
+    n_phi_t = p._n_phi_t
+    phi_t = p._phi_t
+    alpha = p.alpha
+    half_alpha = p.alpha / 2.0
+    vdsat_coeff = p.vdsat_coeff
+    clm = p.channel_length_modulation
+    floor = -_MAX_EXP_ARG
+
+    # The total drop is increasing in current; find where it is V_DD.
+    log_low, log_high = math.log(upper * 1e-12), math.log(upper)
+    for _ in range(_BISECTION_STEPS):
+        log_mid = 0.5 * (log_low + log_high)
+        target = exp(log_mid)
         source = 0.0
-        for device in devices:
-            vds = _vds_for_current(device, source, current, vdd, vt_shift)
+        for iw, kw in drives:
+            # Smallest V_ds at which this device carries ``target``;
+            # the first pass probes V_ds = V_DD.
+            vgs = -source
+            vds = vdd
+            low = high = 0.0
+            probing = True
+            for _ in range(_BISECTION_STEPS + 1):
+                overdrive = vgs - (vt0s - dibl * vds)
+                exponent = (0.0 if overdrive > 0.0 else overdrive) / n_phi_t
+                if exponent < floor:
+                    exponent = floor
+                drain_arg = -vds / phi_t
+                if drain_arg < floor:
+                    drain_arg = floor
+                current = iw * exp(exponent) * (1.0 - exp(drain_arg))
+                if overdrive > 0.0:
+                    i_dsat = kw * overdrive**alpha
+                    vdsat = vdsat_coeff * overdrive**half_alpha
+                    if vds >= vdsat:
+                        current += i_dsat * (1.0 + clm * (vds - vdsat))
+                    else:
+                        ratio = vds / vdsat
+                        current += i_dsat * ratio * (2.0 - ratio)
+                if probing:
+                    if current <= target:
+                        break
+                    probing = False
+                    low, high = 0.0, vdd
+                elif current < target:
+                    low = vds
+                else:
+                    high = vds
+                vds = 0.5 * (low + high)
             source += vds
             if source >= vdd:
                 break
-        return source
-
-    # total_drop is increasing in current; find current where drop == vdd.
-    log_low, log_high = math.log(lower), math.log(upper)
-    for _ in range(_BISECTION_STEPS):
-        log_mid = 0.5 * (log_low + log_high)
-        if total_drop(math.exp(log_mid)) < vdd:
+        if source < vdd:
             log_low = log_mid
         else:
             log_high = log_mid
-    return math.exp(0.5 * (log_low + log_high))
+    return exp(0.5 * (log_low + log_high))
 
 
 def gate_leakage_current(
@@ -162,7 +182,9 @@ class StackLeakageModel:
     """Cached stack-effect evaluator for one transistor flavour.
 
     Characterization sweeps ask for the same (depth, width, V_DD, shift)
-    tuples repeatedly; this memoizes the bisection.
+    tuples repeatedly; this memoizes the bisection.  The characterizer
+    and its decoded plans all query leakage through this memo, so it is
+    the one place that builds the memo key.
     """
 
     def __init__(self, parameters: MosfetParameters):

@@ -120,16 +120,25 @@ class MosfetParameters:
             raise DeviceModelError(
                 f"alpha must be in [1, 2], got {self.alpha}"
             )
+        # Derived constants of the drain-current kernel, cached once.
+        # They are plain attributes, not fields, so equality, hashing,
+        # ``asdict``/``replace`` and the serialized form are unchanged.
+        object.__setattr__(self, "_phi_t", phi_t)
+        object.__setattr__(
+            self,
+            "_n_phi_t",
+            self.subthreshold_swing / (phi_t * LN10) * phi_t,
+        )
 
     @property
     def thermal_voltage(self) -> float:
         """``phi_t = kT/q`` at the device temperature [V]."""
-        return thermal_voltage(self.temperature_k)
+        return self._phi_t
 
     @property
     def ideality(self) -> float:
         """Subthreshold ideality ``n = S_th / (phi_t ln 10)``."""
-        return self.subthreshold_swing / (self.thermal_voltage * LN10)
+        return self.subthreshold_swing / (self._phi_t * LN10)
 
     def with_vt0(self, vt0: float) -> "MosfetParameters":
         """Copy of these parameters with a different threshold."""
@@ -223,10 +232,39 @@ class Mosfet:
     def drain_current(
         self, vgs: float, vds: float, vt_shift: float = 0.0
     ) -> float:
-        """Total drain current: subthreshold floor + alpha-power drive."""
-        return self.subthreshold_current(
-            vgs, vds, vt_shift
-        ) + self.strong_inversion_current(vgs, vds, vt_shift)
+        """Total drain current: subthreshold floor + alpha-power drive.
+
+        The device kernel: :meth:`subthreshold_current` plus
+        :meth:`strong_inversion_current` in one body, with the same
+        float-op sequence (bit-identical for finite inputs).  Both
+        exponent arguments are <= 0 here, so ``_bounded_exp`` reduces
+        to a clamp from below.
+        """
+        if vds < 0.0:
+            raise DeviceModelError(f"vds must be >= 0, got {vds}")
+        p = self.parameters
+        overdrive = vgs - (p.vt0 + vt_shift - p.dibl * vds)
+        exponent = (0.0 if overdrive > 0.0 else overdrive) / p._n_phi_t
+        if exponent < -_MAX_EXP_ARG:
+            exponent = -_MAX_EXP_ARG
+        drain_arg = -vds / p._phi_t
+        if drain_arg < -_MAX_EXP_ARG:
+            drain_arg = -_MAX_EXP_ARG
+        current = (
+            p.i_spec * self.width_um * math.exp(exponent)
+            * (1.0 - math.exp(drain_arg))
+        )
+        if overdrive > 0.0:
+            i_dsat = p.k_drive * self.width_um * overdrive**p.alpha
+            vdsat = p.vdsat_coeff * overdrive ** (p.alpha / 2.0)
+            if vds >= vdsat:
+                current += i_dsat * (
+                    1.0 + p.channel_length_modulation * (vds - vdsat)
+                )
+            else:
+                ratio = vds / vdsat
+                current += i_dsat * ratio * (2.0 - ratio)
+        return current
 
     # ------------------------------------------------------------------
     # Convenience corners

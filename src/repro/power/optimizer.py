@@ -375,7 +375,7 @@ class RingOscillatorModel:
         if obs.ENABLED:
             obs.incr("optimizer.vdd_solves")
         # One decoded plan serves the bracket checks and every
-        # bisection step: the V_DD-invariant drive constants and
+        # bisection step: the V_DD-invariant drive devices and
         # capacitance geometry are resolved once per solve instead of
         # once per probe, and each probe is bit-identical to a
         # stage_delay call at the same corner.

@@ -2,257 +2,38 @@
 
 Monte-Carlo variation analysis asks one question thousands of times:
 *the same cell, at the same (V_DD, load) corner, under a different
-``vt_shift``*.  The per-sample path re-resolves everything on every
-call — attribute chains, capacitance views, thermal voltage, the
-stack-leakage closures — even though only the shift changes.
+``vt_shift``*.  The per-sample path re-resolves the cell on every
+call — memo keys, capacitance views, Mosfet construction — even
+though only the shift changes.
 
-:class:`VariationPlan` is the decode/run split of the ISA engine
-applied to characterization: :meth:`CellCharacterizer.plan_variation
+:class:`VariationPlan` decodes the corner once:
+:meth:`CellCharacterizer.plan_variation
 <repro.tech.characterize.CellCharacterizer.plan_variation>` resolves
-every V_T-invariant quantity once (output capacitance, the
-``0.7 * C * V`` delay numerator, per-flavour drive prefactors, the
-leakage stack constants), and :meth:`VariationPlan.delays` /
+the output capacitance, the ``0.7 * C * V`` delay numerator and the
+two drive devices.  :meth:`VariationPlan.delays` /
 :meth:`VariationPlan.leakages` then evaluate a whole vector of shifts
-in a tight loop that recomputes only the shift-dependent terms.
+by calling the device kernel: :meth:`Mosfet.on_current
+<repro.device.mosfet.Mosfet.on_current>` for drive, and the
+characterizer's :class:`~repro.device.leakage.StackLeakageModel` for
+leakage.
 
-The batched results are **bit-identical** to the per-sample
-``propagation_delay`` / ``leakage_current`` chain: every precomputed
-partial product preserves the reference float-op association order
-(``a*b*c*d`` folds left, so hoisting ``a*b`` is exact), the inlined
-``_bounded_exp`` clamps reproduce ``max(-60, min(60, x))`` on the
-reachable side, and the leakage path *shares* the characterizer's
-:class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
-construction included — so the rounded-key reuse semantics of the
-per-sample path are replicated exactly.  The differential tests in
-``tests/property/test_variation_differential.py`` assert equality
-sample for sample.
+The results are **bit-identical** to the per-sample
+``propagation_delay`` / ``leakage_current`` chain, because both go
+through the same device calls and the same stack memos.  The
+differential tests in ``tests/property/test_variation_differential.py``
+assert equality sample for sample.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 from repro import obs as _obs
-from repro.device.leakage import _BISECTION_STEPS
-from repro.device.mosfet import Mosfet, MosfetParameters
+from repro.device.mosfet import Mosfet
 from repro.errors import CharacterizationError
-from repro.tech.characterize import _DELAY_CONSTANT
+from repro.tech.characterize import _DELAY_CONSTANT, _require_finite
 
 __all__ = ["VariationPlan"]
-
-#: Mirrors ``repro.device.mosfet._MAX_EXP_ARG``; the inlined loops only
-#: ever clamp from below (their exponent arguments are always <= 0).
-_MAX_EXP_ARG = 60.0
-
-
-def _drive_constants(
-    parameters: MosfetParameters, width_um: float, vdd: float
-) -> tuple:
-    """V_T-invariant on-current constants for one flavour at one V_DD.
-
-    Constructing the :class:`Mosfet` first keeps the validation (and
-    its error) identical to the per-sample path.
-    """
-    device = Mosfet(parameters, width_um=width_um)
-    phi_t = parameters.thermal_voltage
-    exp_arg = -vdd / phi_t
-    if exp_arg < -_MAX_EXP_ARG:
-        exp_arg = -_MAX_EXP_ARG
-    return (
-        parameters.vt0,
-        parameters.dibl * vdd,
-        parameters.ideality * phi_t,
-        1.0 - math.exp(exp_arg),
-        parameters.i_spec * device.width_um,
-        parameters.k_drive * device.width_um,
-        parameters.alpha,
-        parameters.alpha / 2.0,
-        parameters.vdsat_coeff,
-        parameters.channel_length_modulation,
-    )
-
-
-class _StackPlan:
-    """Decoded leakage-stack evaluator for one polarity of one cell.
-
-    Shares the owning characterizer's ``StackLeakageModel._cache`` so
-    the rounded-key memo behaves exactly as on the per-sample path:
-    a shift that rounds onto an already-cached key is served the cached
-    value, in the same evaluation order.
-    """
-
-    __slots__ = (
-        "cache",
-        "widths_key",
-        "vdd",
-        "vdd_key",
-        "devices",
-        "vt0",
-        "dibl",
-        "dibl_vdd",
-        "n_phi",
-        "phi_t",
-        "drain_factor_vdd",
-        "alpha",
-        "half_alpha",
-        "vdsat_coeff",
-        "clm",
-    )
-
-    def __init__(
-        self,
-        parameters: MosfetParameters,
-        widths_um: Sequence[float],
-        vdd: float,
-        cache: dict,
-    ):
-        # Same construction (and validation) as stack_leakage_current.
-        devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-        self.cache = cache
-        self.widths_key = tuple(round(w, 6) for w in widths_um)
-        self.vdd = vdd
-        self.vdd_key = round(vdd, 6)
-        self.devices = [
-            (parameters.i_spec * d.width_um, parameters.k_drive * d.width_um)
-            for d in devices
-        ]
-        phi_t = parameters.thermal_voltage
-        self.vt0 = parameters.vt0
-        self.dibl = parameters.dibl
-        self.dibl_vdd = parameters.dibl * vdd
-        self.n_phi = parameters.ideality * phi_t
-        self.phi_t = phi_t
-        exp_arg = -vdd / phi_t
-        if exp_arg < -_MAX_EXP_ARG:
-            exp_arg = -_MAX_EXP_ARG
-        self.drain_factor_vdd = 1.0 - math.exp(exp_arg)
-        self.alpha = parameters.alpha
-        self.half_alpha = parameters.alpha / 2.0
-        self.vdsat_coeff = parameters.vdsat_coeff
-        self.clm = parameters.channel_length_modulation
-
-    # ------------------------------------------------------------------
-    # Inlined device evaluations (see repro.device.mosfet for the
-    # reference float-op sequences these replicate verbatim)
-    # ------------------------------------------------------------------
-    def _off_current(self, iw: float, kw: float, vt_shift: float) -> float:
-        """``Mosfet.off_current(vdd, vt_shift)`` with hoisted constants."""
-        exp = math.exp
-        vt = (self.vt0 + vt_shift) - self.dibl_vdd
-        gate_drive = 0.0 - vt
-        overdrive = gate_drive
-        if gate_drive > 0.0:
-            gate_drive = 0.0
-        exponent = gate_drive / self.n_phi
-        if exponent < -_MAX_EXP_ARG:
-            exponent = -_MAX_EXP_ARG
-        current = iw * exp(exponent) * self.drain_factor_vdd
-        if overdrive > 0.0:
-            i_dsat = kw * overdrive**self.alpha
-            vdsat = self.vdsat_coeff * overdrive**self.half_alpha
-            if self.vdd >= vdsat:
-                current += i_dsat * (1.0 + self.clm * (self.vdd - vdsat))
-            else:
-                ratio = self.vdd / vdsat
-                current += i_dsat * ratio * (2.0 - ratio)
-        return current
-
-    def _vds_for_current(
-        self,
-        iw: float,
-        kw: float,
-        source_voltage: float,
-        target_current: float,
-        vt0s: float,
-    ) -> float:
-        """Inlined twin of ``repro.device.leakage._vds_for_current``.
-
-        ``vt0s`` is the precomputed ``vt0 + vt_shift``; the drain
-        current at each trial V_ds is evaluated inline (zero function
-        calls in the 80-step bisection).
-        """
-        exp = math.exp
-        vgs = -source_voltage
-        dibl = self.dibl
-        n_phi = self.n_phi
-        phi_t = self.phi_t
-        alpha = self.alpha
-        half_alpha = self.half_alpha
-        vdsat_coeff = self.vdsat_coeff
-        clm = self.clm
-        vdd = self.vdd
-
-        # Probe vds == vdd first: a device that cannot carry the target
-        # even fully open drops the whole supply.
-        vds = vdd
-        low = high = 0.0
-        probing = True
-        for _ in range(_BISECTION_STEPS + 1):
-            vt = vt0s - dibl * vds
-            gate_drive = vgs - vt
-            overdrive = gate_drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vds / phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            current = iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if overdrive > 0.0:
-                i_dsat = kw * overdrive**alpha
-                vdsat = vdsat_coeff * overdrive**half_alpha
-                if vds >= vdsat:
-                    current += i_dsat * (1.0 + clm * (vds - vdsat))
-                else:
-                    ratio = vds / vdsat
-                    current += i_dsat * ratio * (2.0 - ratio)
-
-            if probing:
-                if current <= target_current:
-                    return vdd
-                probing = False
-                low, high = 0.0, vdd
-            elif current < target_current:
-                low = vds
-            else:
-                high = vds
-            vds = 0.5 * (low + high)
-        return 0.5 * (low + high)
-
-    def current(self, vt_shift: float) -> float:
-        """``stack_leakage_current`` for this stack, decoded."""
-        devices = self.devices
-        if len(devices) == 1:
-            iw, kw = devices[0]
-            return self._off_current(iw, kw, vt_shift)
-        upper = min(
-            self._off_current(iw, kw, vt_shift) for iw, kw in devices
-        )
-        if upper <= 0.0:
-            return 0.0
-        lower = upper * 1e-12
-        vdd = self.vdd
-        vt0s = self.vt0 + vt_shift
-        vds_for_current = self._vds_for_current
-        log = math.log
-        exp = math.exp
-        log_low, log_high = log(lower), log(upper)
-        for _ in range(_BISECTION_STEPS):
-            log_mid = 0.5 * (log_low + log_high)
-            trial = exp(log_mid)
-            source = 0.0
-            for iw, kw in devices:
-                source += vds_for_current(iw, kw, source, trial, vt0s)
-                if source >= vdd:
-                    break
-            if source < vdd:
-                log_low = log_mid
-            else:
-                log_high = log_mid
-        return exp(0.5 * (log_low + log_high))
 
 
 class VariationPlan:
@@ -260,8 +41,8 @@ class VariationPlan:
 
     Produced by :meth:`CellCharacterizer.plan_variation
     <repro.tech.characterize.CellCharacterizer.plan_variation>`; holds
-    only plain floats (plus the shared stack memo dicts), so evaluating
-    a shift vector touches no model objects at all.
+    the delay numerator, the two drive devices and the characterizer's
+    stack-leakage models.
     """
 
     __slots__ = (
@@ -270,33 +51,41 @@ class VariationPlan:
         "load_f",
         "output_high_probability",
         "_numerator",
-        "_nmos_drive",
-        "_pmos_drive",
-        "_nmos_stack",
-        "_pmos_stack",
+        "_pull_down",
+        "_pull_up",
+        "_nmos_stacks",
+        "_pmos_stacks",
+        "_nmos_widths",
+        "_pmos_widths",
     )
 
     def __init__(
         self,
-        cell_name: str,
+        characterizer,
+        cell,
         vdd: float,
         load_f: float,
         output_high_probability: float,
-        numerator: float,
-        nmos_drive: tuple,
-        pmos_drive: tuple,
-        nmos_stack: _StackPlan,
-        pmos_stack: _StackPlan,
     ):
-        self.cell_name = cell_name
+        transistors = characterizer.technology.transistors
+        total_load = load_f + characterizer._output_capacitance(cell, vdd)
+        self.cell_name = cell.name
         self.vdd = vdd
         self.load_f = load_f
         self.output_high_probability = output_high_probability
-        self._numerator = numerator
-        self._nmos_drive = nmos_drive
-        self._pmos_drive = pmos_drive
-        self._nmos_stack = nmos_stack
-        self._pmos_stack = pmos_stack
+        self._numerator = _DELAY_CONSTANT * total_load * vdd
+        self._pull_down = Mosfet(
+            transistors.nmos,
+            width_um=cell.series_equivalent_width(cell.nmos_path_widths_um),
+        )
+        self._pull_up = Mosfet(
+            transistors.pmos,
+            width_um=cell.series_equivalent_width(cell.pmos_path_widths_um),
+        )
+        self._nmos_stacks = characterizer._nmos_stacks
+        self._pmos_stacks = characterizer._pmos_stacks
+        self._nmos_widths = cell.nmos_path_widths_um
+        self._pmos_widths = cell.pmos_path_widths_um
 
     @classmethod
     def build(
@@ -312,99 +101,27 @@ class VariationPlan:
         Called through :meth:`CellCharacterizer.plan_variation`, which
         validates the arguments and memoizes the plan.
         """
-        technology = characterizer.technology
-        total_load = load_f + characterizer._output_capacitance(cell, vdd)
-        numerator = _DELAY_CONSTANT * total_load * vdd
-        nmos = technology.transistors.nmos
-        pmos = technology.transistors.pmos
-        return cls(
-            cell_name=cell.name,
-            vdd=vdd,
-            load_f=load_f,
-            output_high_probability=output_high_probability,
-            numerator=numerator,
-            nmos_drive=_drive_constants(
-                nmos,
-                cell.series_equivalent_width(cell.nmos_path_widths_um),
-                vdd,
-            ),
-            pmos_drive=_drive_constants(
-                pmos,
-                cell.series_equivalent_width(cell.pmos_path_widths_um),
-                vdd,
-            ),
-            nmos_stack=_StackPlan(
-                nmos,
-                cell.nmos_path_widths_um,
-                vdd,
-                characterizer._nmos_stacks._cache,
-            ),
-            pmos_stack=_StackPlan(
-                pmos,
-                cell.pmos_path_widths_um,
-                vdd,
-                characterizer._pmos_stacks._cache,
-            ),
-        )
+        return cls(characterizer, cell, vdd, load_f, output_high_probability)
 
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
     def delays(self, vt_shifts: Sequence[float]) -> List[float]:
         """``propagation_delay`` at every shift, bit-identically."""
-        exp = math.exp
         vdd = self.vdd
         numerator = self._numerator
-        n_vt0, n_dibl_vdd, n_phi_n, n_df, n_iw, n_kw, n_alpha, \
-            n_half_alpha, n_vdsat_c, n_clm = self._nmos_drive
-        p_vt0, p_dibl_vdd, n_phi_p, p_df, p_iw, p_kw, p_alpha, \
-            p_half_alpha, p_vdsat_c, p_clm = self._pmos_drive
+        pull_down = self._pull_down.on_current
+        pull_up = self._pull_up.on_current
         out: List[float] = []
-        append = out.append
         for shift in vt_shifts:
-            # Pull-down (NMOS) on-current.
-            vt = (n_vt0 + shift) - n_dibl_vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_n
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            pull_down = n_iw * exp(exponent) * n_df
-            if drive > 0.0:
-                i_dsat = n_kw * drive**n_alpha
-                vdsat = n_vdsat_c * drive**n_half_alpha
-                if vdd >= vdsat:
-                    pull_down += i_dsat * (1.0 + n_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_down += i_dsat * ratio * (2.0 - ratio)
-            # Pull-up (PMOS) on-current.
-            vt = (p_vt0 + shift) - p_dibl_vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_p
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            pull_up = p_iw * exp(exponent) * p_df
-            if drive > 0.0:
-                i_dsat = p_kw * drive**p_alpha
-                vdsat = p_vdsat_c * drive**p_half_alpha
-                if vdd >= vdsat:
-                    pull_up += i_dsat * (1.0 + p_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_up += i_dsat * ratio * (2.0 - ratio)
-            weakest = pull_down if pull_down <= pull_up else pull_up
+            _require_finite("vt_shift", shift)
+            weakest = min(pull_down(vdd, shift), pull_up(vdd, shift))
             if weakest <= 0.0:
                 raise CharacterizationError(
                     f"cell {self.cell_name} has no drive at "
                     f"V_DD = {vdd} V"
                 )
-            append(numerator / weakest)
+            out.append(numerator / weakest)
         if _obs.ENABLED and out:
             _obs.incr("variation.samples_batched", len(out))
         return out
@@ -412,32 +129,23 @@ class VariationPlan:
     def leakages(self, vt_shifts: Sequence[float]) -> List[float]:
         """``leakage_current`` at every shift, bit-identically.
 
-        Consults (and fills) the shared stack memos with the same
-        rounded keys and in the same order as the per-sample path.
+        Consults (and fills) the characterizer's stack memos in the
+        same order as the per-sample path.
         """
+        vdd = self.vdd
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
-        n_cache = nmos.cache
-        p_cache = pmos.cache
-        n_key = (nmos.widths_key, nmos.vdd_key)
-        p_key = (pmos.widths_key, pmos.vdd_key)
+        nmos = self._nmos_stacks.current
+        pmos = self._pmos_stacks.current
+        n_widths = self._nmos_widths
+        p_widths = self._pmos_widths
         out: List[float] = []
-        append = out.append
         for shift in vt_shifts:
-            shift_key = round(shift, 6)
-            key = n_key + (shift_key,)
-            nmos_leak = n_cache.get(key)
-            if nmos_leak is None:
-                nmos_leak = nmos.current(shift)
-                n_cache[key] = nmos_leak
-            key = p_key + (shift_key,)
-            pmos_leak = p_cache.get(key)
-            if pmos_leak is None:
-                pmos_leak = pmos.current(shift)
-                p_cache[key] = pmos_leak
-            append(p_high * nmos_leak + p_low * pmos_leak)
+            _require_finite("vt_shift", shift)
+            out.append(
+                p_high * nmos(n_widths, vdd, shift)
+                + p_low * pmos(p_widths, vdd, shift)
+            )
         if _obs.ENABLED and out:
             _obs.incr("variation.samples_batched", len(out))
         return out

@@ -19,6 +19,7 @@ for V_DD below V_T (sub-threshold operation), just exponentially slow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from typing import Dict
@@ -39,6 +40,25 @@ _DELAY_CONSTANT = 0.7
 
 #: Cache-miss sentinel (``None``/0.0 are legal cached values).
 _MISS = object()
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Reject a NaN or infinite corner input.
+
+    The one finiteness check of the cell layer: the characterizer's
+    scalar queries call it on V_DD, the plans' vector kernels on every
+    V_DD and V_T shift they evaluate, so a non-finite corner raises
+    instead of turning into a NaN delay, energy or leakage.
+    """
+    if not math.isfinite(value):
+        raise CharacterizationError(f"{name} must be finite, got {value}")
+
+
+def _check_vdd(vdd: float) -> None:
+    """Reject a supply that is not a finite positive voltage."""
+    _require_finite("vdd", vdd)
+    if vdd <= 0.0:
+        raise CharacterizationError(f"vdd must be positive, got {vdd}")
 
 
 @dataclass(frozen=True)
@@ -349,7 +369,7 @@ class CellCharacterizer:
         vt_shift: float = 0.0,
     ) -> float:
         """Worst-edge propagation delay driving ``load_f`` [s]."""
-        self._check_vdd(vdd)
+        _check_vdd(vdd)
         if load_f < 0.0:
             raise CharacterizationError("load must be >= 0")
         if self.cache_enabled:
@@ -387,7 +407,7 @@ class CellCharacterizer:
         subsequent discharge).  Counting ``C V^2`` per 0->1 transition
         matches the paper's Eq. 1 convention with alpha_0->1.
         """
-        self._check_vdd(vdd)
+        _check_vdd(vdd)
         if load_f < 0.0:
             raise CharacterizationError("load must be >= 0")
         if self.cache_enabled:
@@ -420,7 +440,7 @@ class CellCharacterizer:
         (V_DD < V_Tn + |V_Tp|) — the classic result that slow rails
         remove short-circuit power entirely.
         """
-        self._check_vdd(vdd)
+        _check_vdd(vdd)
         if self.cache_enabled:
             key = ("sc", self._token(cell), vdd, load_f, input_transition_time_s)
             cached = self._memo.get(key, _MISS)
@@ -465,7 +485,7 @@ class CellCharacterizer:
         output_high_probability: float = 0.5,
     ) -> float:
         """State-averaged cell leakage with stack effect [A]."""
-        self._check_vdd(vdd)
+        _check_vdd(vdd)
         if not 0.0 <= output_high_probability <= 1.0:
             raise CharacterizationError(
                 "output_high_probability must be in [0, 1]"
@@ -513,7 +533,7 @@ class CellCharacterizer:
         stack-leakage memos, so plan and per-sample evaluations feed
         the same caches.
         """
-        self._check_vdd(vdd)
+        _check_vdd(vdd)
         if load_f < 0.0:
             raise CharacterizationError("load must be >= 0")
         if not 0.0 <= output_high_probability <= 1.0:
@@ -678,6 +698,7 @@ class CellCharacterizer:
         """
         if fanout < 1:
             raise CharacterizationError("fanout must be >= 1")
+        _require_finite("vdd", vdd)
         if self.cache_enabled:
             key = ("fanout", self._token(cell), vdd, fanout, vt_shift)
             result = self._memo.get(key, _MISS)
@@ -694,7 +715,3 @@ class CellCharacterizer:
         if self.cache_enabled:
             self._memo[key] = result
         return result
-
-    def _check_vdd(self, vdd: float) -> None:
-        if vdd <= 0.0:
-            raise CharacterizationError(f"vdd must be positive, got {vdd}")

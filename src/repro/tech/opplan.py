@@ -4,182 +4,45 @@ The Fig. 3/4 experiments ask the mirror image of the variation
 question answered by :mod:`repro.tech.batch`: *the same cell, under
 the same load, at many supply voltages*.  Every optimizer probe —
 bisection steps in ``solve_vdd_for_delay``, energy evaluations along
-the optimum locus, whole (V_DD, V_T) surface grids — walks the scalar
-``fanout_delay`` / ``propagation_delay`` / ``leakage_current`` chain,
-re-resolving attribute chains, capacitance views, thermal voltage and
+the optimum locus, whole (V_DD, V_T) surface grids — would otherwise
+walk the scalar ``fanout_delay`` / ``propagation_delay`` /
+``leakage_current`` chain, re-resolving memo keys, geometry and
 Mosfet constructions although none of them depend on V_DD.
 
-:class:`OperatingPlan` is the decode/run split applied along the
-supply axis: :meth:`CellCharacterizer.plan_operating
+:class:`OperatingPlan` decodes the (cell, load) pair once:
+:meth:`CellCharacterizer.plan_operating
 <repro.tech.characterize.CellCharacterizer.plan_operating>` resolves
-every V_DD-invariant quantity once (gate/junction geometry products,
-per-flavour drive prefactors, the leakage stack constants), and
+the gate/junction geometry products and the two drive devices.
 :meth:`OperatingPlan.delays` / :meth:`OperatingPlan.leakages` /
 :meth:`OperatingPlan.energies` then evaluate a whole vector of
-supplies in a tight loop that recomputes only the V_DD-dependent
-terms (the non-linear C(V) views and the drive exponentials).
+supplies: per point they take the non-linear C(V) views from the
+capacitance models and call the device kernel —
+:meth:`Mosfet.on_current <repro.device.mosfet.Mosfet.on_current>` for
+drive, the characterizer's
+:class:`~repro.device.leakage.StackLeakageModel` for leakage.
 
-The batched results are **bit-identical** to the per-point chain:
-every precomputed partial product preserves the reference float-op
-association order (``a*b*c*d`` folds left, so hoisting ``a*b`` is
-exact), the non-linear ``switched_capacitance`` views are evaluated
-once per point through the *same* model methods the per-point path
-calls, the inlined ``_bounded_exp`` clamps reproduce
-``max(-60, min(60, x))`` on the reachable side, and the leakage path
-*shares* the characterizer's
-:class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
-construction included — so the rounded-key reuse semantics of the
-per-point path are replicated exactly.  The differential tests in
-``tests/property/test_opplan_differential.py`` assert equality corner
-for corner.
+The results are **bit-identical** to the per-point chain: the hoisted
+geometry products keep the reference float-op association order
+(``a*b*c`` folds left, so hoisting ``a*b`` is exact), and every other
+number comes from the same model calls and stack memos.  The
+differential tests in ``tests/property/test_opplan_differential.py``
+assert equality corner for corner.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.device.leakage import stack_leakage_current
-from repro.device.mosfet import Mosfet, MosfetParameters
+from repro.device.mosfet import Mosfet
 from repro.errors import CharacterizationError, DeviceModelError
-from repro.tech.characterize import _DELAY_CONSTANT
+from repro.tech.characterize import (
+    _DELAY_CONSTANT,
+    _check_vdd,
+    _require_finite,
+)
 
 __all__ = ["OperatingPlan"]
-
-#: Mirrors ``repro.device.mosfet._MAX_EXP_ARG``; the inlined loops only
-#: ever clamp from below (their exponent arguments are always <= 0).
-_MAX_EXP_ARG = 60.0
-
-
-def _drive_constants(parameters: MosfetParameters, width_um: float) -> tuple:
-    """V_DD-invariant on-current constants for one flavour.
-
-    Constructing the :class:`Mosfet` first keeps the validation (and
-    its error) identical to the per-point path.
-    """
-    device = Mosfet(parameters, width_um=width_um)
-    phi_t = parameters.thermal_voltage
-    return (
-        parameters.vt0,
-        parameters.dibl,
-        parameters.ideality * phi_t,
-        phi_t,
-        parameters.i_spec * device.width_um,
-        parameters.k_drive * device.width_um,
-        parameters.alpha,
-        parameters.alpha / 2.0,
-        parameters.vdsat_coeff,
-        parameters.channel_length_modulation,
-    )
-
-
-class _StackPlan:
-    """Decoded leakage-stack evaluator for one polarity of one cell.
-
-    Unlike its fixed-V_DD twin in :mod:`repro.tech.batch`, this plan is
-    *parameterized* by V_DD: single-device stacks (every inverter, and
-    therefore every ring-oscillator probe) evaluate the inlined
-    ``off_current`` with per-point DIBL and drain-factor terms, while
-    multi-device stacks fall through to the reference
-    :func:`~repro.device.leakage.stack_leakage_current` bisection —
-    both share the owning characterizer's ``StackLeakageModel._cache``
-    with the same rounded keys as the per-point path.
-    """
-
-    __slots__ = (
-        "parameters",
-        "cache",
-        "widths",
-        "widths_key",
-        "single",
-        "vt0",
-        "dibl",
-        "n_phi",
-        "phi_t",
-        "iw",
-        "kw",
-        "alpha",
-        "half_alpha",
-        "vdsat_coeff",
-        "clm",
-    )
-
-    def __init__(
-        self,
-        parameters: MosfetParameters,
-        widths_um: Sequence[float],
-        cache: dict,
-    ):
-        if not widths_um:
-            # Same guard (and error) as stack_leakage_current, hoisted
-            # to decode time.
-            raise DeviceModelError("stack must contain at least one device")
-        # Same construction (and validation) as stack_leakage_current.
-        devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-        self.parameters = parameters
-        self.cache = cache
-        self.widths = tuple(widths_um)
-        self.widths_key = tuple(round(w, 6) for w in widths_um)
-        self.single = len(devices) == 1
-        phi_t = parameters.thermal_voltage
-        self.vt0 = parameters.vt0
-        self.dibl = parameters.dibl
-        self.n_phi = parameters.ideality * phi_t
-        self.phi_t = phi_t
-        self.iw = parameters.i_spec * devices[0].width_um
-        self.kw = parameters.k_drive * devices[0].width_um
-        self.alpha = parameters.alpha
-        self.half_alpha = parameters.alpha / 2.0
-        self.vdsat_coeff = parameters.vdsat_coeff
-        self.clm = parameters.channel_length_modulation
-
-    def _off_current(self, vdd: float, vt_shift: float) -> float:
-        """``Mosfet.off_current(vdd, vt_shift)`` with hoisted constants.
-
-        See :mod:`repro.device.mosfet` for the reference float-op
-        sequence this replicates verbatim (V_gs = 0, V_ds = V_DD).
-        """
-        exp = math.exp
-        vt = (self.vt0 + vt_shift) - self.dibl * vdd
-        gate_drive = 0.0 - vt
-        overdrive = gate_drive
-        if gate_drive > 0.0:
-            gate_drive = 0.0
-        exponent = gate_drive / self.n_phi
-        if exponent < -_MAX_EXP_ARG:
-            exponent = -_MAX_EXP_ARG
-        drain_arg = -vdd / self.phi_t
-        if drain_arg < -_MAX_EXP_ARG:
-            drain_arg = -_MAX_EXP_ARG
-        current = self.iw * exp(exponent) * (1.0 - exp(drain_arg))
-        if overdrive > 0.0:
-            i_dsat = self.kw * overdrive**self.alpha
-            vdsat = self.vdsat_coeff * overdrive**self.half_alpha
-            if vdd >= vdsat:
-                current += i_dsat * (1.0 + self.clm * (vdd - vdsat))
-            else:
-                ratio = vdd / vdsat
-                current += i_dsat * ratio * (2.0 - ratio)
-        return current
-
-    def lookup(self, vdd: float, vt_shift: float, shift_key: float) -> float:
-        """``StackLeakageModel.current`` with the shift key precomputed.
-
-        Consults (and fills) the shared memo with the same rounded key
-        the per-point path builds.
-        """
-        key = (self.widths_key, round(vdd, 6), shift_key)
-        value = self.cache.get(key)
-        if value is None:
-            if self.single:
-                value = self._off_current(vdd, vt_shift)
-            else:
-                value = stack_leakage_current(
-                    self.parameters, self.widths, vdd, vt_shift
-                )
-            self.cache[key] = value
-        return value
 
 
 class OperatingPlan:
@@ -187,9 +50,8 @@ class OperatingPlan:
 
     Produced by :meth:`CellCharacterizer.plan_operating
     <repro.tech.characterize.CellCharacterizer.plan_operating>`; holds
-    only plain floats, the two capacitance models (their non-linear
-    ``switched_capacitance`` views are the only model calls left in the
-    kernels) and the shared stack memo dicts.
+    the hoisted geometry products, the two capacitance models, the two
+    drive devices and the characterizer's stack-leakage models.
 
     The load is specified either as a fixed external ``load_f`` [F]
     (mirroring :meth:`~repro.tech.characterize.CellCharacterizer.
@@ -210,43 +72,60 @@ class OperatingPlan:
         "_gate_area_p",
         "_drain_area_n",
         "_drain_area_p",
-        "_nmos_drive",
-        "_pmos_drive",
-        "_nmos_stack",
-        "_pmos_stack",
+        "_pull_down",
+        "_pull_up",
+        "_nmos_stacks",
+        "_pmos_stacks",
+        "_nmos_widths",
+        "_pmos_widths",
     )
 
     def __init__(
         self,
-        cell_name: str,
+        characterizer,
+        cell,
         load_f: float,
         fanout: Optional[int],
         output_high_probability: float,
-        gate_cap,
-        junction_cap,
-        gate_area_n: float,
-        gate_area_p: float,
-        drain_area_n: float,
-        drain_area_p: float,
-        nmos_drive: tuple,
-        pmos_drive: tuple,
-        nmos_stack: _StackPlan,
-        pmos_stack: _StackPlan,
     ):
-        self.cell_name = cell_name
+        technology = characterizer.technology
+        length = technology.drawn_length_um
+        extent = technology.drain_extent_um
+        # Same dimension guard (and error) the capacitance models apply
+        # on every per-point call, hoisted to decode time.
+        widths = (
+            cell.input_nmos_width_um,
+            cell.input_pmos_width_um,
+            cell.input_nmos_width_um * cell.nmos_drains_on_output,
+            cell.input_pmos_width_um * cell.pmos_drains_on_output,
+        )
+        if length <= 0.0 or extent <= 0.0 or any(w <= 0.0 for w in widths):
+            raise DeviceModelError("device dimensions must be positive")
+        transistors = technology.transistors
+        self.cell_name = cell.name
         self.load_f = load_f
         self.fanout = fanout
         self.output_high_probability = output_high_probability
-        self._gate_cap = gate_cap
-        self._junction_cap = junction_cap
-        self._gate_area_n = gate_area_n
-        self._gate_area_p = gate_area_p
-        self._drain_area_n = drain_area_n
-        self._drain_area_p = drain_area_p
-        self._nmos_drive = nmos_drive
-        self._pmos_drive = pmos_drive
-        self._nmos_stack = nmos_stack
-        self._pmos_stack = pmos_stack
+        self._gate_cap = technology.gate_cap
+        self._junction_cap = technology.junction_cap
+        # gate_capacitance folds (w * l) * C_sw(V_DD); hoist (w * l).
+        self._gate_area_n = cell.input_nmos_width_um * length
+        self._gate_area_p = cell.input_pmos_width_um * length
+        # drain_capacitance folds ((w * drains) * extent) * C_sw.
+        self._drain_area_n = widths[2] * extent
+        self._drain_area_p = widths[3] * extent
+        self._pull_down = Mosfet(
+            transistors.nmos,
+            width_um=cell.series_equivalent_width(cell.nmos_path_widths_um),
+        )
+        self._pull_up = Mosfet(
+            transistors.pmos,
+            width_um=cell.series_equivalent_width(cell.pmos_path_widths_um),
+        )
+        self._nmos_stacks = characterizer._nmos_stacks
+        self._pmos_stacks = characterizer._pmos_stacks
+        self._nmos_widths = cell.nmos_path_widths_um
+        self._pmos_widths = cell.pmos_path_widths_um
 
     @classmethod
     def build(
@@ -262,89 +141,56 @@ class OperatingPlan:
         Called through :meth:`CellCharacterizer.plan_operating`, which
         validates the arguments and memoizes the plan.
         """
-        technology = characterizer.technology
-        length = technology.drawn_length_um
-        extent = technology.drain_extent_um
-        # Same dimension guard (and error) the capacitance models apply
-        # on every per-point call, hoisted to decode time.
-        widths = (
-            cell.input_nmos_width_um,
-            cell.input_pmos_width_um,
-            cell.input_nmos_width_um * cell.nmos_drains_on_output,
-            cell.input_pmos_width_um * cell.pmos_drains_on_output,
-        )
-        if length <= 0.0 or extent <= 0.0 or any(w <= 0.0 for w in widths):
-            raise DeviceModelError("device dimensions must be positive")
-        nmos = technology.transistors.nmos
-        pmos = technology.transistors.pmos
         return cls(
-            cell_name=cell.name,
-            load_f=load_f,
-            fanout=fanout,
-            output_high_probability=output_high_probability,
-            gate_cap=technology.gate_cap,
-            junction_cap=technology.junction_cap,
-            # gate_capacitance folds (w * l) * C_sw(V_DD); hoist (w * l).
-            gate_area_n=cell.input_nmos_width_um * length,
-            gate_area_p=cell.input_pmos_width_um * length,
-            # drain_capacitance folds ((w * drains) * extent) * C_sw.
-            drain_area_n=(
-                cell.input_nmos_width_um * cell.nmos_drains_on_output
-            )
-            * extent,
-            drain_area_p=(
-                cell.input_pmos_width_um * cell.pmos_drains_on_output
-            )
-            * extent,
-            nmos_drive=_drive_constants(
-                nmos,
-                cell.series_equivalent_width(cell.nmos_path_widths_um),
-            ),
-            pmos_drive=_drive_constants(
-                pmos,
-                cell.series_equivalent_width(cell.pmos_path_widths_um),
-            ),
-            nmos_stack=_StackPlan(
-                nmos,
-                cell.nmos_path_widths_um,
-                characterizer._nmos_stacks._cache,
-            ),
-            pmos_stack=_StackPlan(
-                pmos,
-                cell.pmos_path_widths_um,
-                characterizer._pmos_stacks._cache,
-            ),
+            characterizer, cell, load_f, fanout, output_high_probability
         )
 
     # ------------------------------------------------------------------
-    # Per-point loads (the only V_DD-dependent model calls left)
+    # Per-point evaluation
     # ------------------------------------------------------------------
-    def _load_and_cout(self, vdd: float) -> Tuple[float, float]:
-        """(external load, output capacitance) at one supply [F].
+    def _total_load(self, vdd: float) -> float:
+        """External load plus output capacitance at one supply [F].
 
-        Fanout mode touches the gate C(V) view *first*, so an invalid
-        supply raises the same ``DeviceModelError`` as the per-point
-        ``fanout_delay`` chain; fixed-load mode raises the
+        Fanout mode touches the gate C(V) view *first*, so a
+        non-positive supply raises the same ``DeviceModelError`` as the
+        per-point ``fanout_delay`` chain; fixed-load mode raises the
         characterizer's ``CharacterizationError`` instead, exactly as
         ``propagation_delay`` would.
         """
         fanout = self.fanout
         if fanout is not None:
+            _require_finite("vdd", vdd)
             gate_sw = self._gate_cap.switched_capacitance(vdd)
             cin = self._gate_area_n * gate_sw + self._gate_area_p * gate_sw
             load = fanout * cin
         else:
-            if vdd <= 0.0:
-                raise CharacterizationError(
-                    f"vdd must be positive, got {vdd}"
-                )
+            _check_vdd(vdd)
             load = self.load_f
         junction_sw = self._junction_cap.switched_capacitance(vdd)
         cout = (
             self._drain_area_n * junction_sw
             + self._drain_area_p * junction_sw
         )
-        return load, cout
+        return load + cout
+
+    def _delay(self, vdd: float, vt_shift: float, total_load: float) -> float:
+        """``propagation_delay`` of ``total_load`` at one supply [s]."""
+        weakest = min(
+            self._pull_down.on_current(vdd, vt_shift),
+            self._pull_up.on_current(vdd, vt_shift),
+        )
+        if weakest <= 0.0:
+            raise CharacterizationError(
+                f"cell {self.cell_name} has no drive at V_DD = {vdd} V"
+            )
+        return _DELAY_CONSTANT * total_load * vdd / weakest
+
+    def _leakage(self, vdd: float, vt_shift: float) -> float:
+        """``leakage_current`` at one supply [A]."""
+        p_high = self.output_high_probability
+        nmos_leak = self._nmos_stacks.current(self._nmos_widths, vdd, vt_shift)
+        pmos_leak = self._pmos_stacks.current(self._pmos_widths, vdd, vt_shift)
+        return p_high * nmos_leak + (1.0 - p_high) * pmos_leak
 
     # ------------------------------------------------------------------
     # Batched evaluation
@@ -355,72 +201,12 @@ class OperatingPlan:
         """The per-point delay chain at every supply, bit-identically.
 
         Fanout mode mirrors ``fanout_delay``; fixed-load mode mirrors
-        ``propagation_delay`` — see :mod:`repro.device.mosfet` for the
-        reference float-op sequences the drive loop replicates.
+        ``propagation_delay``.
         """
-        exp = math.exp
-        load_and_cout = self._load_and_cout
-        n_vt0, n_dibl, n_phi_n, n_phi_t, n_iw, n_kw, n_alpha, \
-            n_half_alpha, n_vdsat_c, n_clm = self._nmos_drive
-        p_vt0, p_dibl, n_phi_p, p_phi_t, p_iw, p_kw, p_alpha, \
-            p_half_alpha, p_vdsat_c, p_clm = self._pmos_drive
-        n_vt0s = n_vt0 + vt_shift
-        p_vt0s = p_vt0 + vt_shift
-        out: List[float] = []
-        append = out.append
-        for vdd in vdds:
-            load, cout = load_and_cout(vdd)
-            total_load = load + cout
-            numerator = _DELAY_CONSTANT * total_load * vdd
-            # Pull-down (NMOS) on-current.
-            vt = n_vt0s - n_dibl * vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_n
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vdd / n_phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            pull_down = n_iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if drive > 0.0:
-                i_dsat = n_kw * drive**n_alpha
-                vdsat = n_vdsat_c * drive**n_half_alpha
-                if vdd >= vdsat:
-                    pull_down += i_dsat * (1.0 + n_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_down += i_dsat * ratio * (2.0 - ratio)
-            # Pull-up (PMOS) on-current.
-            vt = p_vt0s - p_dibl * vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_p
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vdd / p_phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            pull_up = p_iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if drive > 0.0:
-                i_dsat = p_kw * drive**p_alpha
-                vdsat = p_vdsat_c * drive**p_half_alpha
-                if vdd >= vdsat:
-                    pull_up += i_dsat * (1.0 + p_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_up += i_dsat * ratio * (2.0 - ratio)
-            weakest = pull_down if pull_down <= pull_up else pull_up
-            if weakest <= 0.0:
-                raise CharacterizationError(
-                    f"cell {self.cell_name} has no drive at "
-                    f"V_DD = {vdd} V"
-                )
-            append(numerator / weakest)
+        _require_finite("vt_shift", vt_shift)
+        out = [
+            self._delay(vdd, vt_shift, self._total_load(vdd)) for vdd in vdds
+        ]
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out
@@ -430,24 +216,14 @@ class OperatingPlan:
     ) -> List[float]:
         """``leakage_current`` at every supply, bit-identically.
 
-        Consults (and fills) the shared stack memos with the same
-        rounded keys and in the same order as the per-point path.
+        Consults (and fills) the characterizer's stack memos in the
+        same order as the per-point path.
         """
-        p_high = self.output_high_probability
-        p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
-        shift_key = round(vt_shift, 6)
+        _require_finite("vt_shift", vt_shift)
         out: List[float] = []
-        append = out.append
         for vdd in vdds:
-            if vdd <= 0.0:
-                raise CharacterizationError(
-                    f"vdd must be positive, got {vdd}"
-                )
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
-            append(p_high * nmos_leak + p_low * pmos_leak)
+            _check_vdd(vdd)
+            out.append(self._leakage(vdd, vt_shift))
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out
@@ -465,22 +241,11 @@ class OperatingPlan:
         Returning the raw pair keeps every downstream association order
         in the caller, bit-identical to the per-point chain.
         """
-        p_high = self.output_high_probability
-        p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
-        shift_key = round(vt_shift, 6)
-        load_and_cout = self._load_and_cout
+        _require_finite("vt_shift", vt_shift)
         out: List[Tuple[float, float]] = []
-        append = out.append
         for vdd in vdds:
-            load, cout = load_and_cout(vdd)
-            total = load + cout
-            transition = total * vdd * vdd
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
-            leak = p_high * nmos_leak + p_low * pmos_leak
-            append((transition, leak))
+            total = self._total_load(vdd)
+            out.append((total * vdd * vdd, self._leakage(vdd, vt_shift)))
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out
@@ -505,82 +270,17 @@ class OperatingPlan:
         lookups entirely — the surface engine's infeasible cells never
         consume their energies, so eliding the work changes nothing.
         """
-        exp = math.exp
-        load_and_cout = self._load_and_cout
-        n_vt0, n_dibl, n_phi_n, n_phi_t, n_iw, n_kw, n_alpha, \
-            n_half_alpha, n_vdsat_c, n_clm = self._nmos_drive
-        p_vt0, p_dibl, n_phi_p, p_phi_t, p_iw, p_kw, p_alpha, \
-            p_half_alpha, p_vdsat_c, p_clm = self._pmos_drive
-        n_vt0s = n_vt0 + vt_shift
-        p_vt0s = p_vt0 + vt_shift
-        p_high = self.output_high_probability
-        p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
-        shift_key = round(vt_shift, 6)
+        _require_finite("vt_shift", vt_shift)
         out: List[Tuple[float, Optional[float], Optional[float]]] = []
-        append = out.append
         for vdd in vdds:
-            load, cout = load_and_cout(vdd)
-            total_load = load + cout
-            numerator = _DELAY_CONSTANT * total_load * vdd
-            # Pull-down (NMOS) on-current.
-            vt = n_vt0s - n_dibl * vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_n
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vdd / n_phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            pull_down = n_iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if drive > 0.0:
-                i_dsat = n_kw * drive**n_alpha
-                vdsat = n_vdsat_c * drive**n_half_alpha
-                if vdd >= vdsat:
-                    pull_down += i_dsat * (1.0 + n_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_down += i_dsat * ratio * (2.0 - ratio)
-            # Pull-up (PMOS) on-current.
-            vt = p_vt0s - p_dibl * vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_p
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vdd / p_phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            pull_up = p_iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if drive > 0.0:
-                i_dsat = p_kw * drive**p_alpha
-                vdsat = p_vdsat_c * drive**p_half_alpha
-                if vdd >= vdsat:
-                    pull_up += i_dsat * (1.0 + p_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_up += i_dsat * ratio * (2.0 - ratio)
-            weakest = pull_down if pull_down <= pull_up else pull_up
-            if weakest <= 0.0:
-                raise CharacterizationError(
-                    f"cell {self.cell_name} has no drive at "
-                    f"V_DD = {vdd} V"
-                )
-            delay = numerator / weakest
+            total = self._total_load(vdd)
+            delay = self._delay(vdd, vt_shift, total)
             if max_delay_s is not None and delay > max_delay_s:
-                append((delay, None, None))
+                out.append((delay, None, None))
                 continue
-            transition = total_load * vdd * vdd
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
-            leak = p_high * nmos_leak + p_low * pmos_leak
-            append((delay, transition, leak))
+            out.append(
+                (delay, total * vdd * vdd, self._leakage(vdd, vt_shift))
+            )
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out

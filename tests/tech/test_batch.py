@@ -146,6 +146,13 @@ class TestValidation:
         with pytest.raises(CharacterizationError, match="load"):
             characterizer.plan_variation(cells["INV"], 1.0, -1e-15)
 
+    def test_nan_shift_rejected(self, characterizer, cells):
+        plan = characterizer.plan_variation(cells["INV"], 0.6)
+        with pytest.raises(
+            CharacterizationError, match="vt_shift must be finite"
+        ):
+            plan.delays([float("nan")])
+
     def test_bad_probability_rejected(self, characterizer, cells):
         with pytest.raises(
             CharacterizationError, match="output_high_probability"

@@ -100,6 +100,12 @@ class TestDelay:
         with pytest.raises(CharacterizationError, match="vdd"):
             characterizer.propagation_delay(cells["INV"], 0.0, 1e-15)
 
+    def test_nan_vdd_fanout_delay_rejected(self, cells):
+        characterizer = CellCharacterizer(soi_low_vt())
+        with pytest.raises(CharacterizationError, match="vdd must be finite"):
+            characterizer.fanout_delay(cells["INV"], float("nan"))
+        assert characterizer.cache_size == 0
+
 
 class TestEnergy:
     def test_energy_scales_with_vdd_squared(self, characterizer, cells):
@@ -175,6 +181,10 @@ class TestLeakage:
             characterizer.leakage_current(
                 cells["INV"], 1.0, output_high_probability=-0.1
             )
+
+    def test_infinite_vdd_rejected(self, characterizer, cells):
+        with pytest.raises(CharacterizationError, match="vdd must be finite"):
+            characterizer.leakage_current(cells["INV"], float("inf"))
 
 
 class TestCharacterizeRecord:

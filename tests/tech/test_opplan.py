@@ -124,6 +124,13 @@ class TestErrorParity:
         ):
             plan.delays([-0.5])
 
+    def test_nan_vdd_rejected(self):
+        plan = CellCharacterizer(soi_low_vt()).plan_operating(
+            _CELLS["INV"], fanout=1
+        )
+        with pytest.raises(CharacterizationError, match="vdd must be finite"):
+            plan.delays([float("nan")])
+
     def test_leakages_nonpositive_vdd(self):
         plan = CellCharacterizer(soi_low_vt()).plan_operating(
             _CELLS["INV"]
