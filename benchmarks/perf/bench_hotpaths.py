@@ -373,8 +373,8 @@ def bench_variation(quick: bool) -> dict:
         ]
     )
 
-    # After: the analyzer decodes the corner into one plan and pushes
-    # the whole shift vector through its tight inner loops.
+    # After: the analyzer decodes the corner into one plan and
+    # evaluates every shift through it.
     analyzer = MonteCarloAnalyzer(
         technology, n_samples=n_samples, seed=0, workers=0
     )
@@ -625,7 +625,8 @@ def bench_scheduler(quick: bool) -> dict:
     import shutil
     import tempfile
 
-    from repro.sched import Scheduler, scheduled_map_items
+    from repro.analysis.parallel import fan_out
+    from repro.sched import Scheduler
     from repro.sched.workloads import (
         ContourCellTask,
         contour_grid,
@@ -658,7 +659,7 @@ def bench_scheduler(quick: bool) -> dict:
                 rescue_after_s=5.0,
             ) as scheduler:
                 scheduled, seconds = _timed(
-                    lambda: scheduled_map_items(task, pairs, scheduler)
+                    lambda: fan_out(task, pairs, scheduler=scheduler)
                 )
         finally:
             shutil.rmtree(root, ignore_errors=True)

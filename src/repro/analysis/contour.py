@@ -68,6 +68,15 @@ def _interesting(
     return any(abs(value) <= band for value in defined)
 
 
+def _contour_selector(band: float) -> Callable:
+    """:func:`_refine_lattice` selector: the :func:`_interesting` test."""
+
+    def select(known):
+        return lambda corners, i, size: _interesting(corners, band)
+
+    return select
+
+
 def zero_crossing_cells(
     zs: Sequence[Sequence[Optional[float]]],
 ) -> Tuple[Tuple[int, int], ...]:
@@ -291,89 +300,35 @@ def _subdivide_axis(
     return tuple(axis)
 
 
-def _evaluate_points(
+def _refine_lattice(
     cell: Callable[[float, float], Optional[float]],
-    points: Sequence[Tuple[int, int]],
-    xs: Sequence[float],
-    ys: Sequence[float],
-    workers: int,
-    progress,
-    store,
-    store_key: Optional[str],
-    checkpoint_every: int,
-    scheduler=None,
-    min_parallel_items=None,
-) -> List[Optional[float]]:
-    """Evaluate sparse lattice points, checkpointed when stored.
-
-    ``points`` must be deterministic for a given base surface — the
-    flat position of each point keys its checkpoint cell, so a resumed
-    run (which restores the same base grid bit-identically) addresses
-    the same cells.  ``min_parallel_items`` follows the
-    :func:`repro.analysis.parallel.map_items` contract: refinement
-    levels usually produce far fewer points than the base grid, so
-    callers with cheap cells pass the library threshold to keep small
-    fan-outs off the pool.
-    """
-    from repro.analysis.parallel import _PairFn
-    from repro.analysis.sweep import _fanout_items
-
-    pairs = [(xs[i], ys[j]) for i, j in points]
-    if store is None:
-        return _fanout_items(
-            _PairFn(cell), pairs, workers, scheduler, progress=progress,
-            min_parallel_items=min_parallel_items,
-        )
-    from repro.store.checkpoint import SweepCheckpoint
-
-    checkpoint = SweepCheckpoint(
-        store, store_key, len(points), flush_every=checkpoint_every
-    )
-    values = checkpoint.restored()
-    missing = [k for k in range(len(points)) if k not in values]
-    if missing:
-
-        def on_chunk(positions, results) -> None:
-            chunk = [
-                (
-                    missing[position],
-                    None if result is None else float(result),
-                )
-                for position, result in zip(positions, results)
-            ]
-            values.update(chunk)
-            checkpoint.record_many(chunk)
-
-        _fanout_items(
-            _PairFn(cell),
-            [pairs[k] for k in missing],
-            workers,
-            scheduler,
-            progress=progress,
-            chunk_done=on_chunk,
-            min_parallel_items=min_parallel_items,
-        )
-    checkpoint.finalize()
-    return [values[k] for k in range(len(points))]
-
-
-def _refine_surface(
-    module: ModuleEnergyParameters,
-    vdd: float,
-    t_cycle_s: float,
     grid: Sweep2D,
     levels: int,
     band: float,
+    selector: Callable,
+    counter: str,
+    key_parts: Optional[Sequence],
     workers: int,
     progress,
     store,
     checkpoint_every: int,
     scheduler=None,
+    min_parallel_items: Optional[int] = None,
 ) -> RefinedSurface:
-    """Recursively subdivide only the cells near the zero contour."""
-    from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
+    """Recursively subdivide only the cells ``selector`` picks.
 
-    cell = functools.partial(_ratio_cell, module, vdd, t_cycle_s)
+    ``selector(known)`` is called once per level with the evaluated
+    lattice so far and returns ``interesting(corners, i, size)``, the
+    test for the cell whose lower corner is ``(i, j)``; ``counter``
+    prefixes the ``<counter>.cells_refined``/``cells_skipped`` obs
+    counters.  Each level's new points go through one
+    :func:`~repro.analysis.parallel.fan_out`; with a store that level
+    checkpoints under ``request_digest(*key_parts, levels, band,
+    level)``.  The points a level needs are deterministic for a given
+    base grid, so a resumed run addresses the same checkpoint cells.
+    """
+    from repro.analysis.parallel import _PairFn, fan_out
+
     stride = 1 << levels
     xs = _subdivide_axis(grid.xs, levels)
     ys = _subdivide_axis(grid.ys, levels)
@@ -391,6 +346,7 @@ def _refine_surface(
     for level in range(levels):
         size = stride >> level
         half = size >> 1
+        interesting = selector(known)
         targets = []
         for i, j in active:
             corners = (
@@ -399,7 +355,7 @@ def _refine_surface(
                 known[(i + size, j)],
                 known[(i + size, j + size)],
             )
-            if _interesting(corners, band):
+            if interesting(corners, i, size):
                 targets.append((i, j))
             else:
                 skipped += 1
@@ -424,25 +380,25 @@ def _refine_surface(
             }
         )
         if needed:
-            store_key = None
+            checkpoint = None
             if store is not None:
+                from repro.store.checkpoint import SweepCheckpoint
                 from repro.store.hashing import request_digest
 
-                store_key = request_digest(
-                    "ratio-surface-refine",
-                    module,
-                    vdd,
-                    t_cycle_s,
-                    list(grid.xs),
-                    list(grid.ys),
-                    levels,
-                    band,
-                    level,
+                checkpoint = SweepCheckpoint(
+                    store,
+                    request_digest(*key_parts, levels, band, level),
+                    len(needed),
+                    flush_every=checkpoint_every,
                 )
-            values = _evaluate_points(
-                cell, needed, xs, ys, workers, progress, store,
-                store_key, checkpoint_every, scheduler=scheduler,
-                min_parallel_items=_MIN_PARALLEL_ITEMS,
+            values = fan_out(
+                _PairFn(cell),
+                [(xs[i], ys[j]) for i, j in needed],
+                workers=workers,
+                scheduler=scheduler,
+                progress=progress,
+                checkpoint=checkpoint,
+                min_parallel_items=min_parallel_items,
             )
             known.update(zip(needed, values))
         active = [
@@ -453,9 +409,9 @@ def _refine_surface(
         ]
     if obs.ENABLED:
         if refined:
-            obs.incr("contour.cells_refined", refined)
+            obs.incr(f"{counter}.cells_refined", refined)
         if skipped:
-            obs.incr("contour.cells_skipped", skipped)
+            obs.incr(f"{counter}.cells_skipped", skipped)
     indices = tuple(sorted(known))
     return RefinedSurface(
         levels=levels,
@@ -563,11 +519,30 @@ def energy_ratio_surface(
         )
     refined = None
     if refine_levels > 0:
+        from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
+
         with obs.span("analysis.contour_refine"):
-            refined = _refine_surface(
-                module, vdd, t_cycle_s, grid, refine_levels,
-                refine_band, workers, progress, store, checkpoint_every,
+            refined = _refine_lattice(
+                cell,
+                grid,
+                refine_levels,
+                refine_band,
+                _contour_selector(refine_band),
+                "contour",
+                (
+                    "ratio-surface-refine",
+                    module,
+                    vdd,
+                    t_cycle_s,
+                    list(grid.xs),
+                    list(grid.ys),
+                ),
+                workers,
+                progress,
+                store,
+                checkpoint_every,
                 scheduler=scheduler,
+                min_parallel_items=_MIN_PARALLEL_ITEMS,
             )
     return RatioSurface(
         module=module,

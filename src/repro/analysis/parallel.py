@@ -8,6 +8,13 @@ primitive they share — map a picklable function over a work list with
 IPC, with **deterministic result ordering** (results always come back
 in input order, regardless of which worker finished first).
 
+:func:`fan_out` is the single entry point the sweep layers use: it
+restores finished items from an optional
+:class:`~repro.store.checkpoint.SweepCheckpoint`, evaluates only the
+missing ones through a :class:`repro.sched.Scheduler` or
+:func:`map_items` (serial for ``workers=0``), persists each finished
+chunk, and reports progress over all items, restored ones included.
+
 Fault-tolerance policy
 ----------------------
 Work is dispatched as explicit chunks (one future per chunk), so the
@@ -62,7 +69,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 from repro import obs
 from repro.errors import AnalysisError
 
-__all__ = ["resolve_workers", "map_items", "map_grid"]
+__all__ = ["resolve_workers", "map_items", "map_grid", "fan_out"]
 
 _X = TypeVar("_X")
 _Y = TypeVar("_Y")
@@ -474,3 +481,80 @@ def map_grid(
     )
     n_y = len(y_list)
     return [flat[i * n_y : (i + 1) * n_y] for i in range(len(x_list))]
+
+
+def fan_out(
+    fn: Callable[[_X], _R],
+    items: Sequence[_X],
+    workers: Optional[int] = 0,
+    scheduler=None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    checkpoint=None,
+    min_parallel_items: Optional[int] = None,
+) -> List[_R]:
+    """``[fn(item) for item in items]`` through the one fan-out path.
+
+    1. With ``checkpoint`` (a
+       :class:`~repro.store.checkpoint.SweepCheckpoint` over
+       ``len(items)`` cells), items already on disk are restored.
+    2. The missing items are evaluated through ``scheduler.run`` when
+       a :class:`repro.sched.Scheduler` is given (``workers`` is then
+       ignored), else through :func:`map_items` — serial for
+       ``workers=0``, gated by ``min_parallel_items`` otherwise.
+    3. Each finished chunk is recorded in the checkpoint as it
+       arrives, so a killed run resumes from its completed chunks.
+    4. ``progress(done, total)`` counts every item, restored ones
+       included.
+    5. The checkpoint is finalized and the results come back in input
+       order.
+
+    Checkpointed values follow the checkpoint's contract (floats or
+    ``None``), so freshly computed and restored items are
+    bit-identical; without a checkpoint ``fn``'s results are returned
+    unchanged.
+    """
+    work = list(items)
+    total = len(work)
+    if not total:
+        return []
+    done = {} if checkpoint is None else checkpoint.restored()
+    missing = [index for index in range(total) if index not in done]
+    restored = total - len(missing)
+    if progress is not None and restored:
+        progress(restored, total)
+    if missing:
+        chunk_done = None
+        if checkpoint is not None:
+
+            def chunk_done(positions, values) -> None:
+                chunk = [
+                    (
+                        missing[position],
+                        None if value is None else float(value),
+                    )
+                    for position, value in zip(positions, values)
+                ]
+                done.update(chunk)
+                checkpoint.record_many(chunk)
+
+        counted = progress
+        if progress is not None and restored:
+
+            def counted(count: int, _missing_total: int) -> None:
+                progress(restored + count, total)
+
+        todo = work if restored == 0 else [work[index] for index in missing]
+        if scheduler is not None:
+            results = scheduler.run(
+                fn, todo, progress=counted, chunk_done=chunk_done
+            )
+        else:
+            results = map_items(
+                fn, todo, workers=workers, progress=counted,
+                chunk_done=chunk_done, min_parallel_items=min_parallel_items,
+            )
+        if checkpoint is None:
+            # Nothing was restored, so ``results`` covers every item.
+            return results
+    checkpoint.finalize()
+    return [done[index] for index in range(total)]

@@ -29,8 +29,7 @@ from repro import obs
 from repro.analysis.contour import (
     _MAX_REFINE_LEVELS,
     RefinedSurface,
-    _evaluate_points,
-    _subdivide_axis,
+    _refine_lattice,
 )
 from repro.analysis.sweep import Sweep2D, sweep_2d
 from repro.device.technology import Technology
@@ -124,35 +123,6 @@ class _EnergyCell:
         leakage_current = self.stages * leak_per_stage
         return switching + leakage_current * vdd * self.t_cycle_s
 
-    def row(
-        self, vt: float, vdds: Sequence[float]
-    ) -> Tuple[Optional[float], ...]:
-        """One whole V_T row through the plan's batched kernels.
-
-        Bit-identical to calling the cell per point — the kernels
-        evaluate points independently — but the decode and the loop
-        setup are paid once per row instead of once per cell.
-        """
-        plan = _corner_plan(self.technology, vt)
-        points = plan.operating_points(
-            vdds, max_delay_s=self.target_stage_delay_s
-        )
-        stages = self.stages
-        stages_activity = stages * self.activity
-        t_cycle_s = self.t_cycle_s
-        out = []
-        append = out.append
-        for vdd, (_delay, switching_per_stage, leak_per_stage) in zip(
-            vdds, points
-        ):
-            if switching_per_stage is None:
-                append(None)
-                continue
-            switching = stages_activity * switching_per_stage
-            leakage_current = stages * leak_per_stage
-            append(switching + leakage_current * vdd * t_cycle_s)
-        return tuple(out)
-
     def __getstate__(self):
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -208,32 +178,6 @@ class EnergySurface:
         return vdd, vt, energy
 
 
-def _row_batched_grid(
-    cell: _EnergyCell,
-    vt_values: Sequence[float],
-    vdd_values: Sequence[float],
-    progress: Optional[Callable[[int, int], None]],
-) -> Sweep2D:
-    """Serial base grid, one batched kernel pass per V_T row."""
-    vdds = [float(vdd) for vdd in vdd_values]
-    total = len(vt_values) * len(vdds)
-    done = 0
-    rows = []
-    for vt in vt_values:
-        rows.append(cell.row(vt, vdds))
-        done += len(vdds)
-        if progress is not None:
-            progress(done, total)
-    return Sweep2D(
-        x_name="vt",
-        y_name="vdd",
-        z_name="energy_per_cycle_j",
-        xs=tuple(float(vt) for vt in vt_values),
-        ys=tuple(vdds),
-        zs=tuple(rows),
-    )
-
-
 def _row_minima(
     known: Dict[Tuple[int, int], Optional[float]],
 ) -> Dict[int, float]:
@@ -272,113 +216,20 @@ def _near_optimum(
     )
 
 
-def _refine_energy_surface(
-    cell: _EnergyCell,
-    store_inputs: Optional[list],
-    grid: Sweep2D,
-    levels: int,
-    band: float,
-    workers: int,
-    progress,
-    store,
-    checkpoint_every: int,
-    scheduler=None,
-) -> RefinedSurface:
-    """Recursively subdivide only the cells near the optimum locus.
+def _optimum_selector(band: float) -> Callable:
+    """:func:`~repro.analysis.contour._refine_lattice` selector.
 
-    Same sparse-lattice bookkeeping as the Fig. 10 contour refinement
-    (:func:`repro.analysis.contour._refine_surface`), with the
-    interest test swapped for :func:`_near_optimum` — here the target
-    is an energy minimum per row, not a zero crossing.
+    Row minima are taken once per level over the lattice evaluated so
+    far; a cell's corners sit on rows ``i`` and ``i + size``.
     """
-    stride = 1 << levels
-    xs = _subdivide_axis(grid.xs, levels)
-    ys = _subdivide_axis(grid.ys, levels)
-    known: Dict[Tuple[int, int], Optional[float]] = {}
-    for i, row in enumerate(grid.zs):
-        for j, value in enumerate(row):
-            known[(i * stride, j * stride)] = value
-    active = [
-        (i * stride, j * stride)
-        for i in range(len(grid.xs) - 1)
-        for j in range(len(grid.ys) - 1)
-    ]
-    refined = 0
-    skipped = 0
-    for level in range(levels):
-        size = stride >> level
-        half = size >> 1
-        row_min = _row_minima(known)
-        targets = []
-        for i, j in active:
-            corners = (
-                known[(i, j)],
-                known[(i, j + size)],
-                known[(i + size, j)],
-                known[(i + size, j + size)],
-            )
-            rows = (i, i, i + size, i + size)
-            if _near_optimum(corners, rows, row_min, band):
-                targets.append((i, j))
-            else:
-                skipped += 1
-        refined += len(targets)
-        if not targets:
-            break
-        needed = sorted(
-            {
-                point
-                for i, j in targets
-                for point in (
-                    (i, j + half),
-                    (i + half, j),
-                    (i + half, j + half),
-                    (i + half, j + size),
-                    (i + size, j + half),
-                )
-                if point not in known
-            }
-        )
-        if needed:
-            store_key = None
-            if store is not None:
-                from repro.store.hashing import request_digest
 
-                store_key = request_digest(
-                    "energy-surface-refine",
-                    *store_inputs,
-                    levels,
-                    band,
-                    level,
-                )
-            values = _evaluate_points(
-                cell, needed, xs, ys, workers, progress, store,
-                store_key, checkpoint_every, scheduler=scheduler,
-                min_parallel_items=0,
-            )
-            known.update(zip(needed, values))
-        active = [
-            (i + di, j + dj)
-            for i, j in targets
-            for di in (0, half)
-            for dj in (0, half)
-        ]
-    if obs.ENABLED:
-        if refined:
-            obs.incr("surface.cells_refined", refined)
-        if skipped:
-            obs.incr("surface.cells_skipped", skipped)
-    indices = tuple(sorted(known))
-    return RefinedSurface(
-        levels=levels,
-        band=band,
-        xs=xs,
-        ys=ys,
-        indices=indices,
-        values=tuple(known[point] for point in indices),
-        cells_refined=refined,
-        cells_skipped=skipped,
-    )
+    def select(known):
+        row_min = _row_minima(known)
+        return lambda corners, i, size: _near_optimum(
+            corners, (i, i, i + size, i + size), row_min, band
+        )
+
+    return select
 
 
 def energy_surface(
@@ -406,8 +257,10 @@ def energy_surface(
     Cells whose stage delay misses the budget come back as ``None``.
 
     Rows share a V_T corner: the grid is evaluated V_T-major, so each
-    row is one decoded operating plan swept along the whole V_DD axis.
-    ``workers`` fans rows' cells across processes (0 = serial; ring
+    row decodes one operating plan and every cell of the row reuses it.
+    The grid and each refinement level go through
+    :func:`~repro.analysis.parallel.fan_out`.  ``workers`` fans the
+    cells across processes (0 = serial; ring
     cells are expensive enough that the small-grid serial gate is
     disabled here) and the sampled surface is identical for any worker
     count.  ``progress(done_cells, total_cells)`` reports completion.
@@ -481,39 +334,40 @@ def energy_surface(
         ]
         store_key = request_digest("energy-surface", *store_inputs)
     with obs.span("analysis.energy_surface"):
-        if workers == 0 and store is None and scheduler is None:
-            # The plain serial grid goes row-at-a-time through the
-            # plan's batched kernels — one decode and one tight loop
-            # per V_T.  The fan-out/checkpoint/queue paths below keep
-            # the per-cell contract (chunking, restore and progress
-            # are all cell-keyed) and produce the same floats, since
-            # the kernels evaluate points independently.
-            grid = _row_batched_grid(
-                cell, vt_values, vdd_values, progress
-            )
-        else:
-            grid = sweep_2d(
-                "vt",
-                "vdd",
-                "energy_per_cycle_j",
-                vt_values,
-                vdd_values,
-                cell,
-                workers=workers,
-                progress=progress,
-                store=store,
-                store_key=store_key,
-                checkpoint_every=checkpoint_every,
-                scheduler=scheduler,
-                min_parallel_items=0,
-            )
+        grid = sweep_2d(
+            "vt",
+            "vdd",
+            "energy_per_cycle_j",
+            vt_values,
+            vdd_values,
+            cell,
+            workers=workers,
+            progress=progress,
+            store=store,
+            store_key=store_key,
+            checkpoint_every=checkpoint_every,
+            scheduler=scheduler,
+            min_parallel_items=0,
+        )
     refined = None
     if refine_levels > 0:
         with obs.span("analysis.surface_refine"):
-            refined = _refine_energy_surface(
-                cell, store_inputs, grid, refine_levels, refine_band,
-                workers, progress, store, checkpoint_every,
+            refined = _refine_lattice(
+                cell,
+                grid,
+                refine_levels,
+                refine_band,
+                _optimum_selector(refine_band),
+                "surface",
+                None
+                if store_inputs is None
+                else ("energy-surface-refine", *store_inputs),
+                workers,
+                progress,
+                store,
+                checkpoint_every,
                 scheduler=scheduler,
+                min_parallel_items=0,
             )
     return EnergySurface(
         grid=grid,

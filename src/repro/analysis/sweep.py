@@ -99,111 +99,6 @@ def sweep_1d(
     )
 
 
-def _fanout_items(
-    fn,
-    items,
-    workers,
-    scheduler,
-    progress=None,
-    chunk_done=None,
-    min_parallel_items=None,
-):
-    """``map_items`` or its scheduler drop-in, chosen by ``scheduler``.
-
-    The one dispatch point the sweep layers share: a non-None
-    ``scheduler`` (a :class:`repro.sched.Scheduler`) routes the fan-out
-    through the durable work queue — same input-order results, same
-    ``progress``/``chunk_done`` contract — otherwise the in-process
-    pool handles it exactly as before.  ``min_parallel_items`` is
-    forwarded to :func:`~repro.analysis.parallel.map_items` on the
-    pool path only (grid pipelines with cheap cells pass the library
-    threshold; callers with few expensive items — Monte-Carlo chunk
-    tasks — leave it ``None``); a scheduler fan-out is already paying
-    queue latency by design, so it is never gated.
-    """
-    if scheduler is not None:
-        from repro.sched.client import scheduled_map_items
-
-        return scheduled_map_items(
-            fn, items, scheduler, progress=progress, chunk_done=chunk_done
-        )
-    from repro.analysis.parallel import map_items
-
-    return map_items(
-        fn, items, workers=workers, progress=progress,
-        chunk_done=chunk_done, min_parallel_items=min_parallel_items,
-    )
-
-
-def _checkpointed_grid(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    fn: Callable[[float, float], Optional[float]],
-    workers: int,
-    progress: Optional[Callable[[int, int], None]],
-    store,
-    store_key: str,
-    checkpoint_every: int,
-    scheduler=None,
-    min_parallel_items=None,
-) -> Tuple[Tuple[Optional[float], ...], ...]:
-    """Store-backed grid evaluation: restore, compute the gap, persist.
-
-    Every completed chunk becomes durable as it finishes (see
-    :class:`repro.store.checkpoint.SweepCheckpoint`), so a killed run
-    resumed with the same store and key recomputes only the missing
-    cells — and the assembled grid is bit-identical to a cold serial
-    run, because restored cells JSON-round-trip exactly and computed
-    cells are pure functions of their coordinates.
-    """
-    from repro.analysis.parallel import _PairFn
-    from repro.store.checkpoint import SweepCheckpoint
-
-    n_y = len(ys)
-    total = len(xs) * n_y
-    checkpoint = SweepCheckpoint(
-        store, store_key, total, flush_every=checkpoint_every
-    )
-    cells = checkpoint.restored()
-    if progress is not None and cells:
-        progress(len(cells), total)
-    missing = [index for index in range(total) if index not in cells]
-    if missing:
-        pairs = [(xs[index // n_y], ys[index % n_y]) for index in missing]
-        restored_count = len(cells)
-
-        def on_chunk(positions, values) -> None:
-            chunk = [
-                (
-                    missing[position],
-                    None if value is None else float(value),
-                )
-                for position, value in zip(positions, values)
-            ]
-            cells.update(chunk)
-            checkpoint.record_many(chunk)
-
-        shifted = None
-        if progress is not None:
-            def shifted(done: int, _missing_total: int) -> None:
-                progress(restored_count + done, total)
-
-        _fanout_items(
-            _PairFn(fn),
-            pairs,
-            workers,
-            scheduler,
-            progress=shifted,
-            chunk_done=on_chunk,
-            min_parallel_items=min_parallel_items,
-        )
-    checkpoint.finalize()
-    return tuple(
-        tuple(cells[i * n_y + j] for j in range(n_y))
-        for i in range(len(xs))
-    )
-
-
 def sweep_2d(
     x_name: str,
     y_name: str,
@@ -221,9 +116,9 @@ def sweep_2d(
 ) -> Sweep2D:
     """Sample ``fn`` over the cartesian grid; fn may return None.
 
-    ``workers`` fans the grid out over processes via
-    :func:`repro.analysis.parallel.map_grid` (0 = serial, None = one
-    per CPU).  ``fn`` must be picklable for actual parallelism — a
+    The grid goes through :func:`repro.analysis.parallel.fan_out`.
+    ``workers`` fans it out over processes (0 = serial, None = one per
+    CPU).  ``fn`` must be picklable for actual parallelism — a
     closure falls back to the serial path with a one-time
     ``RuntimeWarning`` (counted in ``parallel.pickle_fallbacks``);
     results are identical either way.  Grids below
@@ -251,62 +146,39 @@ def sweep_2d(
     """
     if not xs or not ys:
         raise AnalysisError("empty sweep grid")
-    if min_parallel_items is None:
-        from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
+    from repro.analysis.parallel import _MIN_PARALLEL_ITEMS, _PairFn, fan_out
 
+    if min_parallel_items is None:
         min_parallel_items = _MIN_PARALLEL_ITEMS
+    checkpoint = None
     if store is not None:
         if not store_key:
             raise AnalysisError(
                 "a store-backed sweep needs a store_key identifying "
                 "its inputs"
             )
-        grid = _checkpointed_grid(
-            xs, ys, fn, workers, progress, store, store_key,
-            checkpoint_every, scheduler=scheduler,
-            min_parallel_items=min_parallel_items,
-        )
-    elif scheduler is not None:
-        from repro.analysis.parallel import _PairFn
+        from repro.store.checkpoint import SweepCheckpoint
 
-        n_y = len(ys)
-        pairs = [(x, y) for x in xs for y in ys]
-        flat = _fanout_items(
-            _PairFn(fn), pairs, workers, scheduler, progress=progress
+        checkpoint = SweepCheckpoint(
+            store, store_key, len(xs) * len(ys), flush_every=checkpoint_every
         )
-        grid = tuple(
-            tuple(
-                None if value is None else float(value)
-                for value in flat[i * n_y : (i + 1) * n_y]
-            )
-            for i in range(len(xs))
+    flat = fan_out(
+        _PairFn(fn),
+        [(x, y) for x in xs for y in ys],
+        workers=workers,
+        scheduler=scheduler,
+        progress=progress,
+        checkpoint=checkpoint,
+        min_parallel_items=min_parallel_items,
+    )
+    n_y = len(ys)
+    grid = tuple(
+        tuple(
+            None if value is None else float(value)
+            for value in flat[i * n_y : (i + 1) * n_y]
         )
-    elif workers == 0:
-        total = len(xs) * len(ys)
-        done = 0
-        rows = []
-        for x in xs:
-            row = []
-            for y in ys:
-                value = fn(x, y)
-                row.append(None if value is None else float(value))
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-            rows.append(tuple(row))
-        grid = tuple(rows)
-    else:
-        from repro.analysis.parallel import map_grid
-
-        grid = tuple(
-            tuple(
-                None if value is None else float(value) for value in row
-            )
-            for row in map_grid(
-                fn, xs, ys, workers=workers, progress=progress,
-                min_parallel_items=min_parallel_items,
-            )
-        )
+        for i in range(len(xs))
+    )
     return Sweep2D(
         x_name=x_name,
         y_name=y_name,

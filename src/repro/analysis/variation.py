@@ -13,15 +13,15 @@ delay and leakage distributions for any cell; the closed-form
 lognormal mean amplification is provided for cross-checking.
 
 Every distribution is evaluated through the **batched variation
-engine**: the analyzer asks its characterizer for one
-:class:`~repro.tech.batch.VariationPlan` per (cell, V_DD, load) corner
-and pushes the whole shift vector through it, instead of running the
-full characterization call chain once per sample.  The serial,
-``workers``, and ``store``-checkpointed paths all use plans — on the
-parallel path each worker decodes the corner once and evaluates its
-chunks through it — and all three remain bit-identical to the
-per-sample path (asserted by the differential property tests and the
-``variation`` section of ``bench_hotpaths.py``).
+engine**: each sample asks a per-process
+:class:`~repro.tech.batch.VariationPlan` for its (cell, V_DD, load)
+corner — decoded once and cached — instead of running the full
+characterization call chain.  The samples fan out through
+:func:`repro.analysis.parallel.fan_out`, so the serial, ``workers``,
+``scheduler`` and ``store``-checkpointed paths are one path, and all
+of them are bit-identical to the per-sample characterizer chain
+(asserted by the differential property tests and the ``variation``
+section of ``bench_hotpaths.py``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ __all__ = [
 ]
 
 #: Per-process characterizer cache for the parallel Monte-Carlo path —
-#: each worker decodes the corner once (the plan is memoized on its
-#: characterizer) and reuses it across the chunks it is handed.  Keyed
-#: by the (hashable) Technology value.
+#: each pool or scheduler worker decodes a corner once (the plan is
+#: memoized on its characterizer) and reuses it across the chunks it
+#: is handed.  Keyed by the (hashable) Technology value.
 _WORKER_CHARACTERIZERS: dict = {}
 
 #: Eviction bound on the per-process cache: a long-lived worker serving
@@ -65,31 +65,57 @@ def _characterizer_for(technology: Technology) -> CellCharacterizer:
     return characterizer
 
 
-def _batched_chunk(task) -> List[float]:
-    """Evaluate one chunk of V_T shifts through a per-process plan."""
-    kind, technology, cell, vdd, load_f, shifts = task
-    plan = _characterizer_for(technology).plan_variation(cell, vdd, load_f)
-    if kind == "delay":
-        return plan.delays(shifts)
-    return plan.leakages(shifts)
+class _VtSample:
+    """One Monte-Carlo sample: ``vt_shift -> delay or leakage``.
 
-
-def _shift_chunks(
-    shifts: Sequence[float], workers: Optional[int]
-) -> List[Tuple[float, ...]]:
-    """Split a shift vector into the chunks the pool would form.
-
-    Mirrors ``map_items``'s own chunk sizing so each worker receives
-    about four plan-sized batches, keeping the pool busy without
-    paying per-sample IPC.
+    Picklable, so the fan-out can ship it to pool and scheduler
+    workers.  The corner's :class:`~repro.tech.batch.VariationPlan` is
+    decoded on first call and cached on the instance — through the
+    analyzer's characterizer in the parent, through the per-process
+    characterizer cache in a worker.  Both are left out of the pickled
+    state, so each worker decodes the corner once in its own process.
     """
-    from repro.analysis.parallel import _chunksize, resolve_workers
 
-    count = max(resolve_workers(workers), 1)
-    size = _chunksize(len(shifts), count)
-    return [
-        tuple(shifts[i : i + size]) for i in range(0, len(shifts), size)
-    ]
+    __slots__ = (
+        "kind", "technology", "cell", "vdd", "load_f", "_characterizer",
+        "_plan",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        technology: Technology,
+        cell: Cell,
+        vdd: float,
+        load_f: float,
+        characterizer: Optional[CellCharacterizer] = None,
+    ):
+        self.kind = kind
+        self.technology = technology
+        self.cell = cell
+        self.vdd = vdd
+        self.load_f = load_f
+        self._characterizer = characterizer
+        self._plan = None
+
+    def __call__(self, vt_shift: float) -> float:
+        plan = self._plan
+        if plan is None:
+            characterizer = self._characterizer
+            if characterizer is None:
+                characterizer = _characterizer_for(self.technology)
+            plan = self._plan = characterizer.plan_variation(
+                self.cell, self.vdd, self.load_f
+            )
+        if self.kind == "delay":
+            return plan.delay(vt_shift)
+        return plan.leakage(vt_shift)
+
+    def __getstate__(self):
+        return (self.kind, self.technology, self.cell, self.vdd, self.load_f)
+
+    def __setstate__(self, state):
+        self.__init__(*state)
 
 
 @dataclass(frozen=True)
@@ -219,122 +245,30 @@ class MonteCarloAnalyzer:
             *parts,
         )
 
-    # ------------------------------------------------------------------
-    # Evaluation paths (all plan-based)
-    # ------------------------------------------------------------------
-    def _chunk_width(self) -> Optional[int]:
-        """Fan-out width used for chunk planning.
-
-        With a scheduler the plan must be deterministic across hosts
-        (it feeds the job id), so the scheduler's fixed
-        ``plan_workers`` replaces this process's worker count.
-        """
-        if self.scheduler is not None:
-            return self.scheduler.plan_workers
-        return self.workers
-
-    def _fanout(
-        self, kind: str, cell: Cell, vdd: float, load_f: float, shifts
-    ) -> Tuple[float, ...]:
-        """Evaluate the shift vector across processes, chunk-batched."""
-        from repro.analysis.sweep import _fanout_items
-
-        tasks = [
-            (kind, self.technology, cell, vdd, load_f, chunk)
-            for chunk in _shift_chunks(shifts, self._chunk_width())
-        ]
-        chunks = _fanout_items(
-            _batched_chunk,
-            tasks,
-            self.workers,
-            self.scheduler,
-            progress=self.progress,
-        )
-        return tuple(value for chunk in chunks for value in chunk)
-
-    def _checkpointed_batches(
-        self, key: str, kind: str, cell: Cell, vdd: float, load_f: float,
-        shifts,
-    ) -> Tuple[float, ...]:
-        """Evaluate the shift vector through a sweep checkpoint.
-
-        Restores already-persisted samples, batch-evaluates only the
-        gap (serial or fanned out per ``self.workers``), and persists
-        completed batches as they finish — the Monte-Carlo twin of the
-        checkpointed grid sweep.  Sample indices and stored values are
-        identical to the per-sample checkpoint layout, so checkpoints
-        written before the batched engine resume cleanly under it.
-        """
-        from repro.analysis.sweep import _fanout_items
-        from repro.store.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(self.store, key, len(shifts))
-        samples = checkpoint.restored()
-        missing = [i for i in range(len(shifts)) if i not in samples]
-        if missing:
-            if self.workers == 0 and self.scheduler is None:
-                plan = self._characterizer.plan_variation(cell, vdd, load_f)
-                evaluate = plan.delays if kind == "delay" else plan.leakages
-                # Evaluate in flush-sized batches so a crash loses at
-                # most one buffer, exactly as the per-sample path did.
-                step = checkpoint.flush_every
-                for start in range(0, len(missing), step):
-                    block = missing[start : start + step]
-                    values = evaluate([shifts[i] for i in block])
-                    for index, value in zip(block, values):
-                        samples[index] = value
-                        checkpoint.record(index, value)
-            else:
-                chunks = _shift_chunks(
-                    [shifts[i] for i in missing], self._chunk_width()
-                )
-                tasks = []
-                offsets = []
-                offset = 0
-                for chunk in chunks:
-                    tasks.append(
-                        (kind, self.technology, cell, vdd, load_f, chunk)
-                    )
-                    offsets.append(offset)
-                    offset += len(chunk)
-
-                def on_chunk(positions, values) -> None:
-                    cells = []
-                    for position, chunk_values in zip(positions, values):
-                        base = offsets[position]
-                        cells.extend(
-                            (missing[base + k], float(value))
-                            for k, value in enumerate(chunk_values)
-                        )
-                    samples.update(cells)
-                    checkpoint.record_many(cells)
-
-                _fanout_items(
-                    _batched_chunk,
-                    tasks,
-                    self.workers,
-                    self.scheduler,
-                    progress=self.progress,
-                    chunk_done=on_chunk,
-                )
-        checkpoint.finalize()
-        return tuple(samples[i] for i in range(len(shifts)))
-
     def _distribution(
         self, key, kind: str, cell: Cell, vdd: float, load_f: float
     ) -> Distribution:
+        """Fan the V_T samples out, checkpointed under ``key`` when
+        the analyzer has a store (one checkpoint cell per sample)."""
+        from repro.analysis.parallel import fan_out
+
         shifts = self.sample_vt_shifts()
+        checkpoint = None
         if self.store is not None:
-            samples = self._checkpointed_batches(
-                key, kind, cell, vdd, load_f, shifts
-            )
-        elif self.workers == 0 and self.scheduler is None:
-            plan = self._characterizer.plan_variation(cell, vdd, load_f)
-            evaluate = plan.delays if kind == "delay" else plan.leakages
-            samples = tuple(evaluate(shifts))
-        else:
-            samples = self._fanout(kind, cell, vdd, load_f, shifts)
-        return Distribution(samples=samples)
+            from repro.store.checkpoint import SweepCheckpoint
+
+            checkpoint = SweepCheckpoint(self.store, key, len(shifts))
+        samples = fan_out(
+            _VtSample(
+                kind, self.technology, cell, vdd, load_f, self._characterizer
+            ),
+            shifts,
+            workers=self.workers,
+            scheduler=self.scheduler,
+            progress=self.progress,
+            checkpoint=checkpoint,
+        )
+        return Distribution(samples=tuple(samples))
 
     def sample_vt_shifts(self) -> List[float]:
         """Deterministic Gaussian V_T offsets (one per sample)."""

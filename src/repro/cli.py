@@ -27,6 +27,7 @@ reuse and resumption — see ``docs/store.md``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -103,6 +104,10 @@ def _record_run(
     """Persist a run manifest when ``--record`` was passed."""
     if not getattr(args, "record", False):
         return
+    if getattr(args, "scheduler", None):
+        # Conditional key so nominal (pool/serial) manifests keep
+        # their input digests from earlier releases.
+        inputs["scheduler"] = {"local_workers": args.workers}
     from repro.store import RunRegistry
 
     manifest = RunRegistry(args.runs_root).record(
@@ -463,8 +468,7 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     report = flow.unit_activity(unit.netlist, unit.vectors)
     module = flow.module_parameters(unit.netlist, report)
     grid = [i / args.grid for i in range(1, args.grid + 1)]
-    scheduler = _open_scheduler(args)
-    try:
+    with _open_scheduler(args) as scheduler:
         surface = flow.ratio_surface(
             module, grid, grid, workers=args.workers,
             progress=_stderr_progress(args.progress),
@@ -473,9 +477,6 @@ def _cmd_contour(args: argparse.Namespace) -> int:
             refine_band=args.refine_band,
             scheduler=scheduler,
         )
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     defined = [
         (fga, bga, value)
         for i, fga in enumerate(surface.grid.xs)
@@ -538,10 +539,6 @@ def _cmd_contour(args: argparse.Namespace) -> int:
         "grid": args.grid,
         "workers": args.workers,
     }
-    if scheduler is not None:
-        # Conditional key so nominal (pool/serial) manifests keep
-        # their input digests from earlier releases.
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
         inputs=inputs,
@@ -583,8 +580,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         args.vdd_min + (args.vdd_max - args.vdd_min) * j / steps
         for j in range(args.grid)
     ]
-    scheduler = _open_scheduler(args)
-    try:
+    with _open_scheduler(args) as scheduler:
         surface = flow.energy_surface(
             vt_values,
             vdd_values,
@@ -597,9 +593,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
             refine_band=args.refine_band,
             scheduler=scheduler,
         )
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     locus = surface.optimum_locus()
     if not locus:
         raise ReproError(
@@ -665,8 +658,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         "vdd_range": [args.vdd_min, args.vdd_max],
         "workers": args.workers,
     }
-    if scheduler is not None:
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
         inputs=inputs,
@@ -705,25 +696,21 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(cells))}"
         )
     cell = cells[args.cell]
-    scheduler = _open_scheduler(args)
-    analyzer = MonteCarloAnalyzer(
-        technology,
-        vt_sigma=args.sigma,
-        n_samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        store=_open_store(args),
-        progress=_stderr_progress(args.progress, noun="samples"),
-        scheduler=scheduler,
-    )
     load_f = args.load_ff * 1e-15
-    try:
+    with _open_scheduler(args) as scheduler:
+        analyzer = MonteCarloAnalyzer(
+            technology,
+            vt_sigma=args.sigma,
+            n_samples=args.samples,
+            seed=args.seed,
+            workers=args.workers,
+            store=_open_store(args),
+            progress=_stderr_progress(args.progress, noun="samples"),
+            scheduler=scheduler,
+        )
         delay = analyzer.delay_distribution(cell, args.vdd, load_f)
         leakage = analyzer.leakage_distribution(cell, args.vdd)
         amplification = analyzer.leakage_amplification(cell, args.vdd)
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     predicted = lognormal_leakage_amplification(
         args.sigma, technology.transistors.nmos.subthreshold_swing
     )
@@ -769,8 +756,6 @@ def _cmd_variation(args: argparse.Namespace) -> int:
         "load_ff": args.load_ff,
         "workers": args.workers,
     }
-    if scheduler is not None:
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
         inputs=inputs,
@@ -1151,14 +1136,21 @@ def _add_scheduler_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@contextlib.contextmanager
 def _open_scheduler(args: argparse.Namespace):
-    """The Scheduler named by ``--scheduler``, or None when absent."""
+    """The Scheduler named by ``--scheduler`` (None when absent).
+
+    Its local workers are closed on exit; :func:`_record_run` marks the
+    manifest of a scheduled run.
+    """
     path = getattr(args, "scheduler", None)
     if not path:
-        return None
+        yield None
+        return
     from repro.sched import Scheduler
 
-    return Scheduler(root=path, local_workers=args.workers)
+    with Scheduler(root=path, local_workers=args.workers) as scheduler:
+        yield scheduler
 
 
 def _add_parallel_arguments(

@@ -197,8 +197,14 @@ class StackLeakageModel:
         vdd: float,
         vt_shift: float = 0.0,
     ) -> float:
-        """Stack leakage, memoized on the rounded argument tuple."""
-        key = (tuple(round(w, 6) for w in widths_um), round(vdd, 6), round(vt_shift, 6))
+        """Stack leakage, memoized on the exact argument tuple.
+
+        The key holds the inputs the solver evaluates, unrounded, so a
+        cached value is a pure function of its key: pool workers,
+        scheduler workers, resumed runs and serial runs agree whatever
+        order they ask in.
+        """
+        key = (tuple(widths_um), vdd, vt_shift)
         if key not in self._cache:
             self._cache[key] = stack_leakage_current(
                 self.parameters, widths_um, vdd, vt_shift

@@ -18,10 +18,10 @@ Layering:
   ``_chunksize``), client-side drain with expiry re-dispatch and
   deterministic assembly.
 * :mod:`repro.sched.client` — the user-facing :class:`Scheduler`
-  handle (``submit``/``status``/``wait``/``cancel``) and
-  :func:`scheduled_map_items`, the drop-in that gives ``sweep_2d``,
-  ``energy_ratio_surface`` and ``MonteCarloAnalyzer`` a ``scheduler=``
-  path next to ``workers=``.
+  handle (``submit``/``status``/``wait``/``cancel``/``run``); passed
+  as ``scheduler=`` to :func:`repro.analysis.parallel.fan_out`, it
+  gives ``sweep_2d``, ``energy_ratio_surface``, ``energy_surface`` and
+  ``MonteCarloAnalyzer`` a queue path next to ``workers=``.
 * :mod:`repro.sched.workloads` — picklable demo workloads for the
   CLI, benchmarks and CI smoke tests.
 
@@ -29,7 +29,7 @@ See ``docs/scheduler.md`` for the queue layout, lease semantics and
 the failure matrix.
 """
 
-from repro.sched.client import Scheduler, scheduled_map_items
+from repro.sched.client import Scheduler
 from repro.sched.queue import Claim, JobQueue, JobRecord, JobStatus
 from repro.sched.scheduler import drain, plan_chunksize
 from repro.sched.worker import Worker, worker_main
@@ -43,6 +43,5 @@ __all__ = [
     "Worker",
     "drain",
     "plan_chunksize",
-    "scheduled_map_items",
     "worker_main",
 ]

@@ -7,13 +7,13 @@ hand or on other hosts with ``repro sched worker QUEUE_DIR`` — join
 the same queue transparently; the client does not know or care who
 evaluates a chunk.
 
-:func:`scheduled_map_items` is the drop-in for
+:meth:`Scheduler.run` is the queue-backed counterpart of
 :func:`repro.analysis.parallel.map_items`: same deterministic
 input-order results, same ``progress``/``chunk_done`` callback
-contract, so ``sweep_2d``, ``energy_ratio_surface`` and
-``MonteCarloAnalyzer`` thread a ``scheduler=`` handle exactly where
-they thread ``workers=`` — including through their
-:class:`SweepCheckpoint` resume paths.
+contract.  The sweep layers reach it through
+:func:`repro.analysis.parallel.fan_out`, which threads a
+``scheduler=`` handle exactly where it threads ``workers=`` —
+including through :class:`SweepCheckpoint` resume paths.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.sched.scheduler import (
 )
 from repro.sched.worker import DEFAULT_LEASE_S
 
-__all__ = ["Scheduler", "scheduled_map_items"]
+__all__ = ["Scheduler"]
 
 
 def _worker_command(
@@ -240,25 +240,3 @@ class Scheduler:
             record.job_id, progress=progress, chunk_done=chunk_done
         )
 
-
-def scheduled_map_items(
-    fn: Callable,
-    items: Sequence,
-    scheduler: Scheduler,
-    progress: Optional[Callable[[int, int], None]] = None,
-    chunk_done: Optional[Callable[[Sequence[int], Sequence], None]] = None,
-    note: str = "",
-) -> List:
-    """Drop-in for ``map_items(fn, items, ...)`` backed by a queue.
-
-    Results come back in input order, bit-identical to
-    ``[fn(x) for x in items]``; ``progress`` and ``chunk_done`` follow
-    the ``map_items`` contract.  Re-running after a crash resumes from
-    the chunks the previous run committed (same payload → same job id).
-    """
-    items = list(items)
-    if not items:
-        return []
-    return scheduler.run(
-        fn, items, progress=progress, chunk_done=chunk_done, note=note
-    )

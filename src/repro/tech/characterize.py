@@ -46,9 +46,10 @@ def _require_finite(name: str, value: float) -> None:
     """Reject a NaN or infinite corner input.
 
     The one finiteness check of the cell layer: the characterizer's
-    scalar queries call it on V_DD, the plans' vector kernels on every
-    V_DD and V_T shift they evaluate, so a non-finite corner raises
-    instead of turning into a NaN delay, energy or leakage.
+    scalar queries call it on V_DD (and, on a memo miss, on the V_T
+    shift), the plans' vector kernels on every V_DD and V_T shift they
+    evaluate, so a non-finite corner raises instead of turning into a
+    NaN delay, energy or leakage.
     """
     if not math.isfinite(value):
         raise CharacterizationError(f"{name} must be finite, got {value}")
@@ -383,6 +384,7 @@ class CellCharacterizer:
             self._misses += 1
             if _obs.ENABLED:
                 self._note("delay", False)
+        _require_finite("vt_shift", vt_shift)
         total_load = load_f + self._output_capacitance(cell, vdd)
         weakest = min(
             self.pull_down_current(cell, vdd, vt_shift),
@@ -501,6 +503,7 @@ class CellCharacterizer:
             self._misses += 1
             if _obs.ENABLED:
                 self._note("leak", False)
+        _require_finite("vt_shift", vt_shift)
         nmos_leak = self._nmos_stacks.current(
             cell.nmos_path_widths_um, vdd, vt_shift
         )

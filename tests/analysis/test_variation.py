@@ -220,3 +220,60 @@ class TestBatchedPathParity:
             fanned.delay_distribution(inverter, 0.8).samples
             == serial.delay_distribution(inverter, 0.8).samples
         )
+
+
+class TestProgress:
+    """``progress`` counts samples and ends at (n_samples, n_samples)
+    on every fan-out route."""
+
+    @pytest.mark.parametrize(
+        "route", ["serial", "workers", "store", "scheduler"]
+    )
+    def test_progress_ends_at_sample_count(self, inverter, tmp_path, route):
+        from repro.sched import Scheduler
+        from repro.store import ResultStore
+
+        options = {}
+        if route == "workers":
+            options["workers"] = 2
+        elif route == "store":
+            options["store"] = ResultStore.at(str(tmp_path / "store"))
+        elif route == "scheduler":
+            # Drains in-process through the rescue path: no subprocesses.
+            options["scheduler"] = Scheduler(
+                root=str(tmp_path / "queue"),
+                rescue_after_s=0.0,
+                poll_s=0.0,
+                timeout_s=60.0,
+            )
+        calls = []
+        analyzer = MonteCarloAnalyzer(
+            soi_low_vt(),
+            n_samples=64,
+            seed=5,
+            progress=lambda done, total: calls.append((done, total)),
+            **options,
+        )
+        analyzer.leakage_distribution(inverter, 0.6)
+        assert calls[-1] == (64, 64)
+        assert all(total == 64 for _done, total in calls)
+        assert [done for done, _total in calls] == sorted(
+            done for done, _total in calls
+        )
+
+    def test_restored_samples_are_counted(self, inverter, tmp_path):
+        from repro.store import ResultStore
+
+        store = ResultStore.at(str(tmp_path))
+        MonteCarloAnalyzer(
+            soi_low_vt(), n_samples=64, seed=5, store=store
+        ).leakage_distribution(inverter, 0.6)
+        calls = []
+        MonteCarloAnalyzer(
+            soi_low_vt(),
+            n_samples=64,
+            seed=5,
+            store=store,
+            progress=lambda done, total: calls.append((done, total)),
+        ).leakage_distribution(inverter, 0.6)
+        assert calls == [(64, 64)]

@@ -16,7 +16,8 @@ from repro.analysis.contour import energy_ratio_surface
 from repro.analysis.sweep import sweep_2d
 from repro.analysis.variation import MonteCarloAnalyzer
 from repro.errors import SchedulerError
-from repro.sched import Scheduler, Worker, scheduled_map_items
+from repro.analysis.parallel import fan_out
+from repro.sched import Scheduler, Worker
 from repro.sched.queue import JobQueue
 from repro.sched.scheduler import plan_chunksize
 from repro.sched.workloads import demo_module
@@ -45,13 +46,13 @@ class TestScheduledMapItems:
     def test_matches_serial_map(self, tmp_path):
         scheduler = _rescue_scheduler(tmp_path)
         items = list(range(23))
-        assert scheduled_map_items(square, items, scheduler) == [
+        assert fan_out(square, items, scheduler=scheduler) == [
             x * x for x in items
         ]
 
     def test_empty_items_short_circuit(self, tmp_path):
         scheduler = _rescue_scheduler(tmp_path)
-        assert scheduled_map_items(square, [], scheduler) == []
+        assert fan_out(square, [], scheduler=scheduler) == []
 
     def test_chunk_done_contract_matches_map_items(self, tmp_path):
         """chunk_done fires once per chunk with global input-order
@@ -60,10 +61,9 @@ class TestScheduledMapItems:
         items = list(range(10))
         calls = []
         progress = []
-        scheduled_map_items(
+        scheduler.run(
             square,
             items,
-            scheduler,
             progress=lambda done, total: progress.append((done, total)),
             chunk_done=lambda indices, values: calls.append(
                 (list(indices), list(values))
@@ -92,7 +92,7 @@ class TestScheduledMapItems:
         committed = scheduler.queue.result_indices(record.job_id)
         assert len(committed) == 2
         # "Second run": identical submission resumes the same job.
-        result = scheduled_map_items(log_and_square, items, scheduler)
+        result = fan_out(log_and_square, items, scheduler=scheduler)
         assert result == [value * value for value, _ in items]
         evaluated = sorted(
             int(line.split()[0])

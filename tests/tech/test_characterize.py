@@ -106,6 +106,17 @@ class TestDelay:
             characterizer.fanout_delay(cells["INV"], float("nan"))
         assert characterizer.cache_size == 0
 
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf")])
+    def test_non_finite_vt_shift_delay_rejected(self, cells, shift):
+        characterizer = CellCharacterizer(soi_low_vt())
+        with pytest.raises(
+            CharacterizationError, match="vt_shift must be finite"
+        ):
+            characterizer.propagation_delay(
+                cells["INV"], 0.6, 1e-15, vt_shift=shift
+            )
+        assert characterizer.cache_size == 0
+
 
 class TestEnergy:
     def test_energy_scales_with_vdd_squared(self, characterizer, cells):
@@ -185,6 +196,15 @@ class TestLeakage:
     def test_infinite_vdd_rejected(self, characterizer, cells):
         with pytest.raises(CharacterizationError, match="vdd must be finite"):
             characterizer.leakage_current(cells["INV"], float("inf"))
+
+    @pytest.mark.parametrize("shift", [float("nan"), float("-inf")])
+    def test_non_finite_vt_shift_rejected(self, cells, shift):
+        characterizer = CellCharacterizer(soi_low_vt())
+        with pytest.raises(
+            CharacterizationError, match="vt_shift must be finite"
+        ):
+            characterizer.leakage_current(cells["INV"], 0.6, vt_shift=shift)
+        assert characterizer.cache_size == 0
 
 
 class TestCharacterizeRecord:
