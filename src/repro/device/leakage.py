@@ -68,9 +68,22 @@ def stack_leakage_current(
     float
         Stack leakage current [A].  For a single device this equals
         ``Mosfet.off_current``.
+
+    Raises
+    ------
+    DeviceModelError
+        For an empty stack, a non-finite ``vdd``, ``vt_shift`` or
+        width, or a non-positive ``vdd``.
     """
     if not widths_um:
         raise DeviceModelError("stack must contain at least one device")
+    # NaN slips through every ordered comparison below (and a NaN width
+    # through ``Mosfet``'s), so non-finite inputs are rejected here.
+    for name, value in (("vdd", vdd), ("vt_shift", vt_shift)):
+        if not math.isfinite(value):
+            raise DeviceModelError(f"{name} must be finite, got {value}")
+    if not all(map(math.isfinite, widths_um)):
+        raise DeviceModelError(f"widths must be finite, got {list(widths_um)}")
     if vdd <= 0.0:
         raise DeviceModelError(f"vdd must be positive, got {vdd}")
     devices = [Mosfet(parameters, width_um=w) for w in widths_um]
@@ -97,12 +110,18 @@ def stack_leakage_current(
     floor = -_MAX_EXP_ARG
 
     # The total drop is increasing in current; find where it is V_DD.
+    # Both bisections stop early once their midpoint equals an end of
+    # the bracket: from there every further step keeps the midpoint, so
+    # the result is bit-identical to running all the steps.
+    top = len(drives) - 1
     log_low, log_high = math.log(upper * 1e-12), math.log(upper)
     for _ in range(_BISECTION_STEPS):
         log_mid = 0.5 * (log_low + log_high)
+        if log_mid == log_low or log_mid == log_high:
+            return exp(log_mid)
         target = exp(log_mid)
         source = 0.0
-        for iw, kw in drives:
+        for index, (iw, kw) in enumerate(drives):
             # Smallest V_ds at which this device carries ``target``;
             # the first pass probes V_ds = V_DD.
             vgs = -source
@@ -135,7 +154,20 @@ def stack_leakage_current(
                     low = vds
                 else:
                     high = vds
+                if index == top:
+                    # The final V_ds lies in [low, high] and float
+                    # addition is monotone, so once the bracket alone
+                    # decides ``source + vds < vdd`` the top device can
+                    # stop; either end then gives the same decision.
+                    if source + high < vdd:
+                        vds = high
+                        break
+                    if source + low >= vdd:
+                        vds = low
+                        break
                 vds = 0.5 * (low + high)
+                if vds == low or vds == high:
+                    break
             source += vds
             if source >= vdd:
                 break

@@ -93,6 +93,26 @@ def _bracketed_golden_minimum(energy, low, high, tolerance):
     return min(candidates, key=lambda pair: (pair[0], pair[1]))[1]
 
 
+def _bisect_supply(too_slow, low, high):
+    """Supply where a delay predicate flips, by bisection on [low, high].
+
+    ``too_slow(vdd)`` is True where the delay misses its target; delay
+    falls with V_DD, so the answer lies between the last too-slow and
+    the first fast-enough probe.  Once the midpoint equals an end of
+    the bracket every further step keeps it, so the loop returns there:
+    bit-identical to running all ``_BISECTION_STEPS`` steps.
+    """
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (low + high)
+        if mid == low or mid == high:
+            return mid
+        if too_slow(mid):
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
+
+
 def _percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100].
 
@@ -390,17 +410,13 @@ class RingOscillatorModel:
             if obs.ENABLED:
                 obs.incr("optimizer.low_bound_clamps")
             return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if delay_at(mid) > target_stage_delay_s:
-                low = mid
-            else:
-                high = mid
         # Plan-kernel probes bypass the characterizer memo, so
         # ``optimizer.delay_probes`` keeps matching the characterizer's
         # fanout-family traffic: both drop the solve's internal probes
         # together.
-        return 0.5 * (low + high)
+        return _bisect_supply(
+            lambda vdd: delay_at(vdd) > target_stage_delay_s, low, high
+        )
 
     def energy_per_cycle(
         self, vdd: float, vt: float, cycle_time_s: float
@@ -509,16 +525,12 @@ class RingOscillatorModel:
             if obs.ENABLED:
                 obs.incr("optimizer.low_bound_clamps")
             return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if (
-                self._stage_delay_percentile(mid, vt, shifts, percentile)
-                > target_stage_delay_s
-            ):
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return _bisect_supply(
+            lambda vdd: self._stage_delay_percentile(
+                vdd, vt, shifts, percentile
+            ) > target_stage_delay_s,
+            low, high,
+        )
 
     def statistical_energy_per_cycle(
         self,
@@ -804,13 +816,9 @@ class ModuleThroughputOptimizer:
             if obs.ENABLED:
                 obs.incr("optimizer.low_bound_clamps")
             return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if self.delay(mid, vt) > target_delay_s:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return _bisect_supply(
+            lambda vdd: self.delay(vdd, vt) > target_delay_s, low, high
+        )
 
     def _delay_percentile(
         self,
@@ -891,16 +899,12 @@ class ModuleThroughputOptimizer:
             if obs.ENABLED:
                 obs.incr("optimizer.low_bound_clamps")
             return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if (
-                self._delay_percentile(mid, vt, ordered, percentile)
-                > target_delay_s
-            ):
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return _bisect_supply(
+            lambda vdd: self._delay_percentile(
+                vdd, vt, ordered, percentile
+            ) > target_delay_s,
+            low, high,
+        )
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float

@@ -1,5 +1,7 @@
 """Unit tests for gate/stack leakage and the stack effect."""
 
+import math
+
 import pytest
 
 from repro.device.leakage import (
@@ -10,6 +12,8 @@ from repro.device.leakage import (
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.device.technology import soi_low_vt
 from repro.errors import DeviceModelError
+
+NAN, INF = math.nan, math.inf
 
 
 @pytest.fixture
@@ -58,6 +62,26 @@ class TestStackLeakage:
     def test_nonpositive_vdd_rejected(self, nmos_params):
         with pytest.raises(DeviceModelError, match="vdd"):
             stack_leakage_current(nmos_params, [1.0], 0.0)
+
+    @pytest.mark.parametrize("vdd", [NAN, INF, -INF])
+    def test_nonfinite_vdd_rejected(self, nmos_params, vdd):
+        with pytest.raises(DeviceModelError, match="vdd must be finite"):
+            stack_leakage_current(nmos_params, [1.0, 1.0], vdd)
+
+    @pytest.mark.parametrize("shift", [NAN, INF, -INF])
+    def test_nonfinite_vt_shift_rejected(self, nmos_params, shift):
+        # Single-device stacks too: the check precedes the early return.
+        for stack in ([1.0], [1.0, 1.0]):
+            with pytest.raises(DeviceModelError, match="vt_shift"):
+                stack_leakage_current(nmos_params, stack, 1.0, shift)
+
+    @pytest.mark.parametrize("width", [NAN, INF])
+    def test_nonfinite_width_rejected(self, nmos_params, width):
+        # The top device too: the bisection would absorb its NaN or
+        # infinite width into a finite current.
+        for stack in ([width], [1.0, width], [width, 1.0]):
+            with pytest.raises(DeviceModelError, match="widths"):
+                stack_leakage_current(nmos_params, stack, 1.0)
 
     def test_current_bounded_by_weakest_device(self, nmos_params):
         widths = [0.5, 4.0]

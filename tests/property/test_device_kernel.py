@@ -105,8 +105,11 @@ class TestStackSolver:
     @settings(deadline=None, max_examples=60)
     @given(
         params=mosfet_parameters,
-        stack=st.lists(widths, min_size=1, max_size=3),
-        vdd=st.floats(0.1, 2.0),
+        # Up to 4-stacks and 3.3 V, so the solver's early exits (the
+        # top device's bracket decision above all) meet deep stacks
+        # and high supplies.
+        stack=st.lists(widths, min_size=1, max_size=4),
+        vdd=st.floats(0.05, 3.3),
         # Down to -0.6 V so some stacks conduct above threshold and the
         # alpha-power branch of the inlined equation is exercised too.
         shift=st.floats(-0.6, 0.3),
