@@ -58,7 +58,7 @@ def generate_ablation():
         )
         report = SwitchLevelSimulator(
             netlist, technology, vdd
-        ).run_vectors(stimulus)
+        ).run_vectors_fast(stimulus)
         energy = report.switching_energy_per_cycle(
             netlist, technology, vdd
         )

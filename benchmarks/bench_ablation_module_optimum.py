@@ -22,7 +22,7 @@ UTILIZATIONS = (1.0, 0.1, 0.02)
 def generate_ablation():
     technology = soi_low_vt()
     adder = ripple_carry_adder(8)
-    report = SwitchLevelSimulator(adder, technology, 1.0).run_vectors(
+    report = SwitchLevelSimulator(adder, technology, 1.0).run_vectors_fast(
         random_bus_vectors({"a": 8, "b": 8}, 80, seed=1996)
     )
     optimizer = ModuleThroughputOptimizer(adder, technology, report)

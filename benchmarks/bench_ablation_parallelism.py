@@ -52,7 +52,7 @@ def generate_ablation():
         vdd = 1.0 if n == 1 else _solve_vdd(
             analyzer, adder, n * base_period
         )
-        report = SwitchLevelSimulator(adder, technology, vdd).run_vectors(
+        report = SwitchLevelSimulator(adder, technology, vdd).run_vectors_fast(
             stimulus
         )
         switching = report.switching_energy_per_cycle(

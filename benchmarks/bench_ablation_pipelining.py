@@ -60,7 +60,7 @@ def generate_ablation():
         if netlist.is_sequential:
             report = simulator.run_clocked(stimulus)
         else:
-            report = simulator.run_vectors(stimulus)
+            report = simulator.run_vectors_fast(stimulus)
         logic_energy = report.switching_energy_per_cycle(
             netlist, technology, vdd
         )

@@ -31,7 +31,7 @@ def generate_ablation():
         stimulus = random_bus_vectors({"a": 8, "b": 8}, VECTORS, seed=1996)
         report = SwitchLevelSimulator(
             adder, technology, vdd
-        ).run_vectors(stimulus)
+        ).run_vectors_fast(stimulus)
         breakdown = estimator.breakdown(report, vdd, FREQUENCY)
         rows.append(
             [

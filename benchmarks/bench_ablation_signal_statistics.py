@@ -27,7 +27,7 @@ VDD = 1.0
 
 
 def _activity(netlist, technology, vectors):
-    report = SwitchLevelSimulator(netlist, technology, VDD).run_vectors(
+    report = SwitchLevelSimulator(netlist, technology, VDD).run_vectors_fast(
         vectors
     )
     return (

@@ -19,7 +19,7 @@ def generate_fig8():
     adder = ripple_carry_adder(8)
     simulator = SwitchLevelSimulator(adder, soi_low_vt(), vdd=1.0)
     stimulus = random_bus_vectors({"a": 8, "b": 8}, VECTORS, seed=1996)
-    report = simulator.run_vectors(stimulus)
+    report = simulator.run_vectors_fast(stimulus)
     edges, counts = report.histogram(bins=BINS)
     return report, edges, counts
 

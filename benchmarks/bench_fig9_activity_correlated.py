@@ -27,10 +27,10 @@ def generate_fig9():
     )
     correlated_report = SwitchLevelSimulator(
         adder, technology, vdd=1.0
-    ).run_vectors(correlated)
+    ).run_vectors_fast(correlated)
     random_report = SwitchLevelSimulator(
         adder, technology, vdd=1.0
-    ).run_vectors(
+    ).run_vectors_fast(
         random_bus_vectors({"a": 8, "b": 8}, VECTORS, seed=1996)
     )
     return correlated_report, random_report

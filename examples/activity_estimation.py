@@ -52,7 +52,7 @@ def main():
     reports = {}
     for label, vectors in stimuli.items():
         simulator = SwitchLevelSimulator(adder, technology, VDD)
-        report = simulator.run_vectors(vectors)
+        report = simulator.run_vectors_fast(vectors)
         reports[label] = report
         energy = report.switching_energy_per_cycle(adder, technology, VDD)
         glitchy = sum(

@@ -77,10 +77,10 @@ def stimulus_study(technology):
     recorder = OperandTraceRecorder(machine)
     machine.run()
     netlist = array_multiplier(8)
-    traced = SwitchLevelSimulator(netlist, technology, 1.0).run_vectors(
+    traced = SwitchLevelSimulator(netlist, technology, 1.0).run_vectors_fast(
         recorder.stimulus("multiplier", {"a": 8, "b": 8}, limit=120)
     )
-    uniform = SwitchLevelSimulator(netlist, technology, 1.0).run_vectors(
+    uniform = SwitchLevelSimulator(netlist, technology, 1.0).run_vectors_fast(
         random_bus_vectors({"a": 8, "b": 8}, 120, seed=0)
     )
     ratio = uniform.switching_energy_per_cycle(

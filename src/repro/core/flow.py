@@ -15,6 +15,7 @@ The flow evaluates, for each functional unit of a processor datapath:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -116,8 +117,14 @@ class LowVoltageDesignFlow:
     ):
         from repro.power.optimizer import VariationSpec
 
-        if vdd <= 0.0 or clock_hz <= 0.0:
-            raise AnalysisError("vdd and clock must be positive")
+        if not (
+            math.isfinite(vdd) and math.isfinite(clock_hz)
+            and vdd > 0.0 and clock_hz > 0.0
+        ):
+            raise AnalysisError(
+                f"vdd and clock must be positive and finite, got "
+                f"vdd={vdd!r}, clock_hz={clock_hz!r}"
+            )
         if profile_engine not in ("fast", "reference"):
             raise AnalysisError(
                 f"unknown profile engine {profile_engine!r}; "
@@ -162,7 +169,12 @@ class LowVoltageDesignFlow:
         netlist: Netlist,
         vectors: Sequence[Mapping[str, int]],
     ) -> ActivityReport:
-        """Switch-level simulation of a unit under stimulus."""
+        """Switch-level simulation of a unit under stimulus.
+
+        Runs on :meth:`SwitchLevelSimulator.run_vectors_fast`, the
+        production engine; its report equals the reference
+        :meth:`~SwitchLevelSimulator.run_vectors` oracle's.
+        """
         active_shift = 0.0
         if self.technology.is_back_gated:
             active_shift = self.technology.back_gate.vt_shift_at(
@@ -175,7 +187,7 @@ class LowVoltageDesignFlow:
             netlist, self.technology, self.vdd, vt_shift=active_shift
         )
         with obs.span("flow.unit_activity"):
-            return simulator.run_vectors(vectors)
+            return simulator.run_vectors_fast(vectors)
 
     # ------------------------------------------------------------------
     # Stage 3: module electrical parameters

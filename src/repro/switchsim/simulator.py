@@ -9,8 +9,15 @@ The simulator exposes two levels of use:
 
 * :meth:`SwitchLevelSimulator.apply` — change primary inputs, run until
   quiescence, and return the per-net transition counts of that vector.
-* :meth:`SwitchLevelSimulator.run_vectors` — apply a stimulus sequence
-  and accumulate an :class:`~repro.switchsim.activity.ActivityReport`.
+* :meth:`SwitchLevelSimulator.run_vectors_fast` — apply a stimulus
+  sequence and accumulate an
+  :class:`~repro.switchsim.activity.ActivityReport`.  This is the
+  production engine: the design flow, the CLI and the paper benchmarks
+  run on it.
+* :meth:`SwitchLevelSimulator.run_vectors` — the same report from the
+  readable, name-keyed reference event loop.  It is kept as the
+  independent oracle the tests and ``benchmarks/perf/bench_hotpaths.py``
+  compare the fast engine against.
 """
 
 from __future__ import annotations
@@ -184,6 +191,7 @@ class SwitchLevelSimulator:
 
         Returns the accumulated :class:`ActivityReport` over the
         remaining vectors — the paper's per-node transition statistics.
+        This is the reference oracle for :meth:`run_vectors_fast`.
         """
         iterator = iter(vectors)
         try:
@@ -306,7 +314,7 @@ class SwitchLevelSimulator:
                             f"{net!r} is not a primary input of "
                             f"{self.netlist.name!r}"
                         )
-                    if value not in (0, 1):
+                    if not isinstance(value, int) or value not in (0, 1):
                         raise SimulationError(
                             f"input {net!r} must be 0/1, got {value}"
                         )
@@ -510,7 +518,7 @@ class SwitchLevelSimulator:
                     f"{net!r} is not a primary input of "
                     f"{self.netlist.name!r}"
                 )
-            if value not in (0, 1):
+            if not isinstance(value, int) or value not in (0, 1):
                 raise SimulationError(
                     f"input {net!r} must be 0/1, got {value}"
                 )

@@ -48,6 +48,19 @@ class TestFlowConfiguration:
         with pytest.raises(AnalysisError):
             LowVoltageDesignFlow(vdd=0.0)
 
+    @pytest.mark.parametrize(
+        "corner",
+        [
+            {"vdd": float("nan")},
+            {"vdd": float("inf")},
+            {"clock_hz": float("nan")},
+            {"clock_hz": float("inf")},
+        ],
+    )
+    def test_non_finite_corner_rejected(self, corner):
+        with pytest.raises(AnalysisError, match="finite"):
+            LowVoltageDesignFlow(**corner)
+
 
 class TestStages:
     def test_profile_stage(self, flow, idea_program):

@@ -63,6 +63,35 @@ class TestBasicPropagation:
         with pytest.raises(SimulationError, match="0/1"):
             sim.initialize({"in": 7})
 
+    @pytest.mark.parametrize("engine", ["run_vectors", "run_vectors_fast"])
+    def test_float_input_rejected(self, tech, cells, engine):
+        # 1.0 == 1, so a bare ``in (0, 1)`` test admitted floats: a
+        # first-vector float crashed later in a ``<<``, and a float
+        # equal to the value already driven was silently skipped.
+        netlist = Netlist("x")
+        netlist.add_input("in")
+        netlist.add_gate(cells["INV"], ["in"], "out")
+        for vectors in ([{"in": 1.0}, {"in": 0}],
+                        [{"in": 0}, {"in": 1}, {"in": 1.0}]):
+            run = getattr(SwitchLevelSimulator(netlist, tech, 1.0), engine)
+            with pytest.raises(
+                SimulationError, match=r"must be 0/1, got 1\.0"
+            ):
+                run(vectors)
+
+    @pytest.mark.parametrize("engine", ["run_vectors", "run_vectors_fast"])
+    def test_bool_input_accepted(self, tech, cells, engine):
+        netlist = Netlist("x")
+        netlist.add_input("in")
+        netlist.add_gate(cells["INV"], ["in"], "out")
+        as_int = [{"in": v} for v in (0, 1, 0, 1)]
+        as_bool = [{"in": bool(v)} for v in (0, 1, 0, 1)]
+        reports = [
+            getattr(SwitchLevelSimulator(netlist, tech, 1.0), engine)(vectors)
+            for vectors in (as_int, as_bool)
+        ]
+        assert reports[0] == reports[1]
+
     def test_unchanged_input_is_free(self, tech, cells):
         netlist = Netlist("x")
         netlist.add_input("in")
