@@ -28,12 +28,20 @@ from repro.device.technology import Technology
 from repro.errors import NetlistError
 from repro.tech.cells import Cell
 
-__all__ = ["Instance", "Register", "Netlist"]
+__all__ = ["Instance", "Register", "Netlist", "register_pin_capacitance"]
 
 #: Device widths assumed for a register's D-pin load (one
 #: inverter-equivalent gate).
 _REGISTER_D_NMOS_UM = 2.0
 _REGISTER_D_PMOS_UM = 4.0
+
+
+def register_pin_capacitance(technology: Technology, vdd: float) -> float:
+    """One register D pin's switched load at V_DD [F]."""
+    length = technology.drawn_length_um
+    return technology.gate_cap.gate_capacitance(
+        _REGISTER_D_NMOS_UM, length, vdd
+    ) + technology.gate_cap.gate_capacitance(_REGISTER_D_PMOS_UM, length, vdd)
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,16 @@ class Netlist:
         self._register_loads: Dict[str, List[str]] = {}  # net -> reg names
         self._register_output_of: Dict[str, str] = {}  # q net -> reg name
         self._counter = 0
+        self._revision = 0
+
+    @property
+    def revision(self) -> int:
+        """Structure version: every ``add_*`` call bumps it.
+
+        Anything derived from the structure (e.g. a static-timing plan)
+        is valid for one revision.
+        """
+        return self._revision
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,6 +114,7 @@ class Netlist:
         """Declare a primary input net."""
         self._check_new_source(net)
         self.primary_inputs.append(net)
+        self._revision += 1
         return net
 
     def add_inputs(self, prefix: str, width: int) -> List[str]:
@@ -108,6 +127,7 @@ class Netlist:
             raise NetlistError(f"constant must be 0/1, got {value}")
         self._check_new_source(net)
         self.constants[net] = value
+        self._revision += 1
         return net
 
     def add_output(self, net: str) -> str:
@@ -115,6 +135,7 @@ class Netlist:
         if net in self.primary_outputs:
             raise NetlistError(f"net {net!r} already a primary output")
         self.primary_outputs.append(net)
+        self._revision += 1
         return net
 
     def add_gate(
@@ -138,6 +159,7 @@ class Netlist:
         self._driver_of[output] = name
         for pin, net in enumerate(instance.inputs):
             self._loads_of.setdefault(net, []).append((name, pin))
+        self._revision += 1
         return instance
 
     def add_register(
@@ -163,6 +185,7 @@ class Netlist:
         self.registers[name] = register
         self._register_output_of[output] = name
         self._register_loads.setdefault(data_input, []).append(name)
+        self._revision += 1
         return register
 
     @property
@@ -433,13 +456,9 @@ class Netlist:
         )
         register_loads = self.register_fanout(net)
         if register_loads:
-            length = technology.drawn_length_um
-            d_pin = technology.gate_cap.gate_capacitance(
-                _REGISTER_D_NMOS_UM, length, vdd
-            ) + technology.gate_cap.gate_capacitance(
-                _REGISTER_D_PMOS_UM, length, vdd
+            capacitance += len(register_loads) * register_pin_capacitance(
+                technology, vdd
             )
-            capacitance += len(register_loads) * d_pin
         driver = self.driver(net)
         if driver is not None:
             capacitance += driver.cell.output_capacitance(technology, vdd)

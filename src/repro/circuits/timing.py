@@ -5,19 +5,31 @@ netlist at a given (V_DD, V_T-shift) corner.  This is how module cycle
 times are derived for the energy models: the paper's iso-performance
 comparisons hold the *critical-path delay* fixed while varying
 technology parameters.
+
+Everything about a netlist that does not depend on the corner (level
+order, each net's fanout cells, register loads and wire capacitance)
+is compiled once into a :class:`TimingPlan`; :meth:`analyze` and
+:meth:`slacks` evaluate it, pricing each distinct load cell's input
+capacitance once per corner and each gate from its load alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import (
+    Instance,
+    Netlist,
+    register_pin_capacitance,
+)
 from repro.device.technology import Technology
 from repro.errors import NetlistError
+from repro.tech.cells import Cell
 from repro.tech.characterize import CellCharacterizer
 
-__all__ = ["CriticalPath", "StaticTimingAnalyzer"]
+__all__ = ["CriticalPath", "StaticTimingAnalyzer", "TimingPlan"]
 
 
 @dataclass(frozen=True)
@@ -34,12 +46,87 @@ class CriticalPath:
         return max(len(self.path_nets) - 1, 0)
 
 
+@dataclass(frozen=True)
+class TimingPlan:
+    """The corner-independent part of one netlist's timing.
+
+    Entry ``i`` of ``fanout``, ``register_loads`` and ``wire_f``
+    describes the net driven by ``order[i]``: the ``(index into
+    cells, instance name)`` of every gate it loads (in
+    :meth:`Netlist.fanout` order), how many register D pins it loads,
+    and its wire capacitance [F], which does not depend on V_DD.
+    ``cells`` lists each distinct load cell once, so a corner prices
+    its input capacitance once.  ``sources`` launch at t = 0 (primary
+    inputs, constants, register outputs); ``endpoints`` are the
+    primary outputs then the register D pins.
+    """
+
+    order: Tuple[Instance, ...]
+    cells: Tuple[Cell, ...]
+    fanout: Tuple[Tuple[Tuple[int, str], ...], ...]
+    register_loads: Tuple[int, ...]
+    wire_f: Tuple[float, ...]
+    sources: Tuple[str, ...]
+    endpoints: Tuple[str, ...]
+
+    @classmethod
+    def build(
+        cls,
+        netlist: Netlist,
+        technology: Technology,
+        wire_length_per_fanout_um: float,
+    ) -> "TimingPlan":
+        """Compile a netlist (raises :class:`NetlistError` if cyclic)."""
+        order = tuple(netlist.levelize())
+        cells: Dict[Cell, int] = {}
+        fanout = []
+        register_loads = []
+        wire_f = []
+        for instance in order:
+            loads = tuple(
+                (cells.setdefault(load.cell, len(cells)), load.name)
+                for load, _ in netlist.fanout(instance.output)
+            )
+            n_registers = len(netlist.register_fanout(instance.output))
+            fanout.append(loads)
+            register_loads.append(n_registers)
+            wire_f.append(
+                technology.wire_cap.wire_capacitance(
+                    wire_length_per_fanout_um
+                    * max(len(loads) + n_registers, 1)
+                )
+            )
+        return cls(
+            order=order,
+            cells=tuple(cells),
+            fanout=tuple(fanout),
+            register_loads=tuple(register_loads),
+            wire_f=tuple(wire_f),
+            sources=tuple(
+                dict.fromkeys(
+                    [
+                        *netlist.primary_inputs,
+                        *netlist.constants,
+                        *netlist.register_outputs(),
+                    ]
+                )
+            ),
+            endpoints=tuple(netlist.primary_outputs)
+            + tuple(
+                register.data_input
+                for register in netlist.registers.values()
+            ),
+        )
+
+
 class StaticTimingAnalyzer:
     """Topological arrival-time propagation.
 
     Gate delay is taken from the cell characterizer with the load equal
     to the driven net's extracted capacitance (fanout input caps plus
     wire); the characterizer adds the cell's own output capacitance.
+    Each netlist is compiled into a :class:`TimingPlan` on first use
+    and recompiled only when its :attr:`Netlist.revision` changes.
     """
 
     def __init__(
@@ -47,9 +134,25 @@ class StaticTimingAnalyzer:
         technology: Technology,
         wire_length_per_fanout_um: float = 5.0,
     ):
+        if not (
+            math.isfinite(wire_length_per_fanout_um)
+            and wire_length_per_fanout_um >= 0.0
+        ):
+            raise NetlistError(
+                "wire_length_per_fanout_um must be finite and >= 0, got "
+                f"{wire_length_per_fanout_um}"
+            )
         self.technology = technology
-        self.wire_length_per_fanout_um = wire_length_per_fanout_um
+        self._wire_length_per_fanout_um = wire_length_per_fanout_um
         self._characterizer = CellCharacterizer(technology)
+        # id(netlist) -> (netlist, revision, plan); holding the netlist
+        # keeps its id from being reused by another object.
+        self._plans: Dict[int, Tuple[Netlist, int, TimingPlan]] = {}
+
+    @property
+    def wire_length_per_fanout_um(self) -> float:
+        """Estimated wire length per fanout pin [um] (fixed: plans use it)."""
+        return self._wire_length_per_fanout_um
 
     def analyze(
         self,
@@ -69,57 +172,11 @@ class StaticTimingAnalyzer:
         """
         shifts = per_instance_vt_shifts or {}
         sizes = per_instance_size_factors or {}
-        for label, mapping in (("V_T shifts", shifts), ("sizes", sizes)):
-            unknown = set(mapping) - set(netlist.instances)
-            if unknown:
-                raise NetlistError(
-                    f"{label} for unknown instances: {sorted(unknown)[:5]}"
-                )
-        if any(k <= 0.0 for k in sizes.values()):
-            raise NetlistError("size factors must be positive")
-        order = netlist.levelize()
-        arrival: Dict[str, float] = {
-            net: 0.0 for net in netlist.primary_inputs
-        }
-        arrival.update({net: 0.0 for net in netlist.constants})
-        # Register outputs launch at the clock edge (t = 0).
-        arrival.update({net: 0.0 for net in netlist.register_outputs()})
-        worst_input: Dict[str, str] = {}
-
-        for instance in order:
-            input_arrivals = [
-                (arrival[net], net) for net in instance.inputs
-            ]
-            latest_time, latest_net = max(input_arrivals)
-            external_load = self._external_load(
-                netlist, instance.output, vdd, sizes
-            )
-            # A size factor k scales drive and self-load together, so
-            # the sized delay equals the unit-size delay with the
-            # external load divided by k.
-            k = sizes.get(instance.name, 1.0)
-            delay = self._characterizer.propagation_delay(
-                instance.cell,
-                vdd,
-                external_load / k,
-                shifts.get(instance.name, vt_shift),
-            )
-            arrival[instance.output] = latest_time + delay
-            worst_input[instance.output] = latest_net
-
-        # Timing endpoints: primary outputs plus every register D pin
-        # (the paths the clock period must cover in a pipeline).
-        endpoints = list(netlist.primary_outputs) + [
-            register.data_input
-            for register in netlist.registers.values()
-        ]
-        if not endpoints:
-            endpoints = [instance.output for instance in order]
-        missing = [net for net in endpoints if net not in arrival]
-        if missing:
-            raise NetlistError(f"unreached endpoints: {missing[:5]}")
-        end_net = max(endpoints, key=lambda net: arrival[net])
-
+        plan = self._checked_plan(netlist, shifts, sizes)
+        arrival, worst_input, _ = self._propagate(
+            plan, vdd, vt_shift, shifts, sizes
+        )
+        end_net = self._end_net(plan, arrival)
         path: List[str] = [end_net]
         while path[-1] in worst_input:
             path.append(worst_input[path[-1]])
@@ -138,8 +195,13 @@ class StaticTimingAnalyzer:
         sequencing_overhead: float = 0.1,
     ) -> float:
         """Critical path plus register/clocking overhead [s]."""
-        if sequencing_overhead < 0.0:
-            raise NetlistError("sequencing_overhead must be >= 0")
+        if not (
+            math.isfinite(sequencing_overhead) and sequencing_overhead >= 0.0
+        ):
+            raise NetlistError(
+                "sequencing_overhead must be finite and >= 0, got "
+                f"{sequencing_overhead}"
+            )
         critical = self.analyze(netlist, vdd, vt_shift)
         return critical.delay_s * (1.0 + sequencing_overhead)
 
@@ -170,35 +232,27 @@ class StaticTimingAnalyzer:
         could slow without violating any endpoint — the budget a
         dual-V_T assignment or gate-sizing pass spends.
         """
+        if required_time_s is not None and not math.isfinite(
+            required_time_s
+        ):
+            raise NetlistError(
+                f"required_time_s must be finite, got {required_time_s}"
+            )
         shifts = per_instance_vt_shifts or {}
         sizes = per_instance_size_factors or {}
-        critical = self.analyze(
-            netlist, vdd, vt_shift, per_instance_vt_shifts,
-            per_instance_size_factors,
+        plan = self._checked_plan(netlist, shifts, sizes)
+        arrival, _, delays = self._propagate(
+            plan, vdd, vt_shift, shifts, sizes
         )
         if required_time_s is None:
-            required_time_s = critical.delay_s
-        order = netlist.levelize()
-        delays = {
-            instance.name: self._characterizer.propagation_delay(
-                instance.cell,
-                vdd,
-                self._external_load(netlist, instance.output, vdd, sizes)
-                / sizes.get(instance.name, 1.0),
-                shifts.get(instance.name, vt_shift),
+            required_time_s = arrival[self._end_net(plan, arrival)]
+        required: Dict[str, float] = dict.fromkeys(
+            plan.endpoints, required_time_s
+        )
+        for instance, delay in zip(reversed(plan.order), reversed(delays)):
+            needed_at_inputs = (
+                required.get(instance.output, float("inf")) - delay
             )
-            for instance in order
-        }
-        endpoints = set(netlist.primary_outputs) | {
-            register.data_input
-            for register in netlist.registers.values()
-        }
-        required: Dict[str, float] = {
-            net: required_time_s for net in endpoints
-        }
-        for instance in reversed(order):
-            at_output = required.get(instance.output, float("inf"))
-            needed_at_inputs = at_output - delays[instance.name]
             for net in instance.inputs:
                 required[net] = min(
                     required.get(net, float("inf")), needed_at_inputs
@@ -206,41 +260,93 @@ class StaticTimingAnalyzer:
         return {
             instance.name: (
                 required.get(instance.output, float("inf"))
-                - critical.arrival_times[instance.output]
+                - arrival[instance.output]
             )
-            for instance in order
+            for instance in plan.order
         }
 
-    def _external_load(
+    # ------------------------------------------------------------------
+    def _plan(self, netlist: Netlist) -> TimingPlan:
+        """The netlist's compiled plan at its current revision."""
+        entry = self._plans.get(id(netlist))
+        if entry is not None and entry[1] == netlist.revision:
+            return entry[2]
+        plan = TimingPlan.build(
+            netlist, self.technology, self._wire_length_per_fanout_um
+        )
+        self._plans[id(netlist)] = (netlist, netlist.revision, plan)
+        return plan
+
+    def _checked_plan(
         self,
         netlist: Netlist,
-        net: str,
-        vdd: float,
-        sizes: Optional[Mapping[str, float]] = None,
-    ) -> float:
-        sizes = sizes or {}
-        loads = netlist.fanout(net)
-        capacitance = sum(
-            instance.cell.input_capacitance(self.technology, vdd)
-            * sizes.get(instance.name, 1.0)
-            for instance, _ in loads
-        )
-        register_loads = netlist.register_fanout(net)
-        if register_loads:
-            from repro.circuits.netlist import (
-                _REGISTER_D_NMOS_UM,
-                _REGISTER_D_PMOS_UM,
-            )
+        shifts: Mapping[str, float],
+        sizes: Mapping[str, float],
+    ) -> TimingPlan:
+        """Validate per-instance overrides, then fetch the plan."""
+        for label, mapping in (("V_T shifts", shifts), ("sizes", sizes)):
+            unknown = set(mapping) - set(netlist.instances)
+            if unknown:
+                raise NetlistError(
+                    f"{label} for unknown instances: {sorted(unknown)[:5]}"
+                )
+        if not all(0.0 < k < math.inf for k in sizes.values()):
+            raise NetlistError("size factors must be positive and finite")
+        return self._plan(netlist)
 
-            length = self.technology.drawn_length_um
-            d_pin = self.technology.gate_cap.gate_capacitance(
-                _REGISTER_D_NMOS_UM, length, vdd
-            ) + self.technology.gate_cap.gate_capacitance(
-                _REGISTER_D_PMOS_UM, length, vdd
+    def _propagate(
+        self,
+        plan: TimingPlan,
+        vdd: float,
+        vt_shift: float,
+        shifts: Mapping[str, float],
+        sizes: Mapping[str, float],
+    ) -> Tuple[Dict[str, float], Dict[str, str], List[float]]:
+        """Forward pass: arrival times, each output's latest input net
+        and each gate's delay (in plan order)."""
+        characterizer = self._characterizer
+        input_capacitance = [
+            cell.input_capacitance(self.technology, vdd)
+            for cell in plan.cells
+        ]
+        arrival: Dict[str, float] = dict.fromkeys(plan.sources, 0.0)
+        worst_input: Dict[str, str] = {}
+        delays: List[float] = []
+        d_pin = None
+        for instance, loads, n_registers, wire in zip(
+            plan.order, plan.fanout, plan.register_loads, plan.wire_f
+        ):
+            latest_time, latest_net = max(
+                [(arrival[net], net) for net in instance.inputs]
             )
-            capacitance += len(register_loads) * d_pin
-        total_fanout = len(loads) + len(register_loads)
-        wire = self.technology.wire_cap.wire_capacitance(
-            self.wire_length_per_fanout_um * max(total_fanout, 1)
+            load = sum(
+                input_capacitance[cell] * sizes.get(name, 1.0)
+                for cell, name in loads
+            )
+            if n_registers:
+                if d_pin is None:
+                    d_pin = register_pin_capacitance(self.technology, vdd)
+                load += n_registers * d_pin
+            load = load + wire
+            # A size factor k scales drive and self-load together, so
+            # the sized delay equals the unit-size delay with the
+            # external load divided by k.
+            delay = characterizer.propagation_delay(
+                instance.cell,
+                vdd,
+                load / sizes.get(instance.name, 1.0),
+                shifts.get(instance.name, vt_shift),
+            )
+            arrival[instance.output] = latest_time + delay
+            worst_input[instance.output] = latest_net
+            delays.append(delay)
+        return arrival, worst_input, delays
+
+    @staticmethod
+    def _end_net(plan: TimingPlan, arrival: Mapping[str, float]) -> str:
+        """The latest timing endpoint (every gate output if none are
+        declared)."""
+        endpoints = plan.endpoints or tuple(
+            instance.output for instance in plan.order
         )
-        return capacitance + wire
+        return max(endpoints, key=arrival.__getitem__)

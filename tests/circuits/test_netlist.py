@@ -109,6 +109,21 @@ class TestStructure:
         with pytest.raises(NetlistError, match="cycle"):
             netlist.levelize()
 
+    def test_every_builder_call_bumps_revision(self, cells):
+        netlist = Netlist("grow")
+        revisions = [netlist.revision]
+        netlist.add_input("x")
+        revisions.append(netlist.revision)
+        netlist.add_constant("one", 1)
+        revisions.append(netlist.revision)
+        netlist.add_gate(cells["NAND2"], ["x", "one"], "y")
+        revisions.append(netlist.revision)
+        netlist.add_register("y", "q")
+        revisions.append(netlist.revision)
+        netlist.add_output("q")
+        revisions.append(netlist.revision)
+        assert revisions == sorted(set(revisions))
+
 
 class TestEvaluation:
     def test_inverter_chain(self, inverter_chain):

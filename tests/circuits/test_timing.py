@@ -82,3 +82,57 @@ class TestCycleTime:
     def test_negative_overhead_rejected(self, analyzer, adder8):
         with pytest.raises(NetlistError):
             analyzer.min_cycle_time(adder8, 1.0, sequencing_overhead=-0.1)
+
+
+class TestNonFiniteInputs:
+    """Each of these once slipped through as a NaN, infinite or
+    meaningless result instead of an error."""
+
+    def test_nan_size_factor_rejected(self, analyzer, adder8):
+        gate = next(iter(adder8.instances))
+        with pytest.raises(NetlistError, match="size factors"):
+            analyzer.analyze(
+                adder8, 1.0, per_instance_size_factors={gate: float("nan")}
+            )
+
+    def test_infinite_size_factor_rejected(self, analyzer, adder8):
+        gate = next(iter(adder8.instances))
+        with pytest.raises(NetlistError, match="size factors"):
+            analyzer.analyze(
+                adder8, 1.0, per_instance_size_factors={gate: float("inf")}
+            )
+
+    def test_nan_size_factor_rejected_by_slacks(self, analyzer, adder8):
+        gate = next(iter(adder8.instances))
+        with pytest.raises(NetlistError, match="size factors"):
+            analyzer.slacks(
+                adder8, 1.0, per_instance_size_factors={gate: float("nan")}
+            )
+
+    def test_nan_sequencing_overhead_rejected(self, analyzer, adder8):
+        with pytest.raises(NetlistError, match="sequencing_overhead"):
+            analyzer.min_cycle_time(
+                adder8, 1.0, sequencing_overhead=float("nan")
+            )
+
+    def test_nan_required_time_rejected(self, analyzer, adder8):
+        with pytest.raises(NetlistError, match="required_time_s"):
+            analyzer.slacks(adder8, 1.0, required_time_s=float("nan"))
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
+    def test_bad_wire_length_rejected_at_construction(self, length):
+        with pytest.raises(NetlistError, match="wire_length_per_fanout_um"):
+            StaticTimingAnalyzer(
+                soi_low_vt(), wire_length_per_fanout_um=length
+            )
+
+
+class TestTimingPlan:
+    def test_plan_compiled_once_per_revision(self, analyzer):
+        netlist = ripple_carry_adder(4)
+        plan = analyzer._plan(netlist)
+        analyzer.analyze(netlist, 1.0)
+        analyzer.slacks(netlist, 0.8)
+        assert analyzer._plan(netlist) is plan
+        netlist.add_input("spare")
+        assert analyzer._plan(netlist) is not plan
