@@ -118,6 +118,36 @@ class _VtSample:
         self.__init__(*state)
 
 
+def _gaussian_shifts(sigma: float, n_samples: int, seed: int) -> List[float]:
+    """Deterministic Gaussian V_T offsets, one per sample.
+
+    The one draw behind :meth:`MonteCarloAnalyzer.sample_vt_shifts` and
+    :meth:`repro.power.optimizer.VariationSpec.draw_shifts`, so an
+    analyzer and a yield solve with the same (sigma, samples, seed)
+    see the same shifts.
+    """
+    rng = random.Random(seed)
+    return [rng.gauss(0.0, sigma) for _ in range(n_samples)]
+
+
+def _sorted_percentile(ordered, p: float, measure=float) -> float:
+    """Linear-interpolated p-th percentile of ``measure`` over sorted
+    ``ordered``, p in [0, 100].
+
+    Exact for a nondecreasing ``measure``, which keeps the order.
+    ``measure`` runs on the bracketing order statistics only, and on
+    the second only when the percentile falls strictly between them.
+    """
+    position = p / 100.0 * (len(ordered) - 1)
+    low = int(position)
+    fraction = position - low
+    value = measure(ordered[low])
+    if fraction == 0.0:
+        return value
+    high = measure(ordered[min(low + 1, len(ordered) - 1)])
+    return value * (1.0 - fraction) + high * fraction
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Summary of a sampled quantity.
@@ -174,11 +204,7 @@ class Distribution:
         if ordered is None:
             ordered = sorted(self.samples)
             object.__setattr__(self, "_ordered", ordered)
-        position = p / 100.0 * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return _sorted_percentile(ordered, p)
 
 
 def lognormal_leakage_amplification(
@@ -272,10 +298,7 @@ class MonteCarloAnalyzer:
 
     def sample_vt_shifts(self) -> List[float]:
         """Deterministic Gaussian V_T offsets (one per sample)."""
-        rng = random.Random(self.seed)
-        return [
-            rng.gauss(0.0, self.vt_sigma) for _ in range(self.n_samples)
-        ]
+        return _gaussian_shifts(self.vt_sigma, self.n_samples, self.seed)
 
     def delay_distribution(
         self, cell: Cell, vdd: float, load_f: float = 10e-15

@@ -11,6 +11,9 @@ knobs are the supply and the threshold:
   pair (Fig. 4).  Because lowering V_T lets V_DD drop (quadratic
   switching win) while raising leakage (exponential loss), the energy
   is U-shaped in V_T with an optimum typically well below 1 V.
+* :class:`ModuleThroughputOptimizer` — the same method on a real
+  netlist: critical-path delay from static timing, switching energy
+  from a simulated activity report, leakage over the operation period.
 
 Both optimizers also support a **statistical mode** driven by a
 :class:`VariationSpec`: instead of the nominal corner, the V_DD solve
@@ -19,16 +22,28 @@ targets the p-th percentile of a Monte-Carlo delay distribution
 sampled mean — the lognormal mean-shift that makes real silicon leak
 more than its nominal corner says.  With ``variation=None`` the
 optimizers are bit-identical to the purely nominal behavior.
+
+Each step of the method is written once and both optimizers call it:
+:func:`_solve_supply` (nominal or yield supply solve),
+:func:`_locus_point` (nominal vs. statistical dispatch), :func:`_sweep`,
+:func:`_optimum` and :func:`_statistical_point` (mean-leakage
+pricing).  Each model supplies only its delay probe, its period and
+its energy pricing.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.analysis.variation import (
+    _gaussian_shifts,
+    _sorted_percentile,
+    lognormal_leakage_amplification,
+)
 from repro.device.technology import Technology
 from repro.errors import OptimizationError
 from repro.tech.cells import standard_cells
@@ -60,8 +75,16 @@ def _bracketed_golden_minimum(energy, low, high, tolerance):
 
     Scans ``_SCAN_POINTS`` evenly spaced probes to find the best
     basin, then golden-section refines inside the bracketing pair of
-    neighbours.  ``energy`` returns +inf for infeasible V_T.
+    neighbours.  ``energy`` returns +inf for infeasible V_T.  Bounds
+    and ``tolerance`` are checked before the first probe: a
+    non-positive or NaN tolerance would never end the refinement.
     """
+    if not -math.inf < low < high < math.inf:
+        raise OptimizationError(f"bad vt bounds [{low}, {high}]")
+    if not 0.0 < tolerance < math.inf:
+        raise OptimizationError(
+            f"tolerance must be positive and finite, got {tolerance}"
+        )
     grid = [
         low + (high - low) * i / (_SCAN_POINTS - 1)
         for i in range(_SCAN_POINTS)
@@ -113,20 +136,179 @@ def _bisect_supply(too_slow, low, high):
     return 0.5 * (low + high)
 
 
+def _solve_supply(technology, target_s, vt, vdd_bounds, spec, make_probe):
+    """Supply at which a probed delay meets ``target_s`` (Fig. 3).
+
+    The one supply solve of both models.  ``make_probe()`` runs once,
+    after the inputs pass their checks and the solve is counted, and
+    returns ``delay_at(vdd)``: the nominal delay when ``spec`` is None
+    (``optimizer.vdd_solves``), else the ``spec.percentile``-th
+    percentile delay over one shift vector drawn for the whole solve
+    (``optimizer.yield_solves``) — every order statistic then falls
+    monotonically with V_DD, so bisection applies to both.
+
+    If the target is already met at the *low* V_DD bound the solve
+    clamps and returns ``low``: the structure simply runs faster than
+    required at the minimum supply (energy accounting still integrates
+    leakage over the target period).
+
+    Raises
+    ------
+    OptimizationError
+        On a non-finite or non-positive target, a non-finite V_T, bad
+        bounds, or a target still missed at the *high* bound.
+    """
+    if not 0.0 < target_s < math.inf:
+        raise OptimizationError("target delay must be positive and finite")
+    if not -math.inf < vt < math.inf:
+        raise OptimizationError(f"V_T must be finite, got {vt}")
+    if vdd_bounds is None:
+        vdd_bounds = (technology.min_vdd, technology.max_vdd)
+    low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
+    if not 0.0 < low < high < math.inf:
+        raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
+    if obs.ENABLED:
+        obs.incr(
+            "optimizer.vdd_solves" if spec is None
+            else "optimizer.yield_solves"
+        )
+    delay_at = make_probe()
+    if delay_at(high) > target_s:
+        quantile, corner = "", f"V_T = {vt} V"
+        if spec is not None:
+            quantile = f"p{spec.percentile:g} "
+            corner += f", sigma = {spec.vt_sigma} V"
+        raise OptimizationError(
+            f"{quantile}target {target_s:.3e} s unreachable: still "
+            f"slower at V_DD = {high} V ({corner})"
+        )
+    if delay_at(low) < target_s:
+        if obs.ENABLED:
+            obs.incr("optimizer.low_bound_clamps")
+        return low
+    return _bisect_supply(lambda vdd: delay_at(vdd) > target_s, low, high)
+
+
+def _locus_point(model, price, price_statistical, vt, target_s, period_s,
+                 spec):
+    """The fixed-delay point at one V_T, priced over ``period_s``.
+
+    Nominal (``spec`` None): ``model.solve_vdd_for_delay`` then
+    ``price(vdd, vt, period_s)``.  Statistical: the yield solve at the
+    spec's percentile then ``price_statistical(vdd, vt, period_s,
+    spec)``.
+    """
+    if spec is None:
+        return price(model.solve_vdd_for_delay(target_s, vt), vt, period_s)
+    vdd = model.solve_vdd_for_yield(
+        target_s, vt, percentile=spec.percentile, vt_sigma=spec.vt_sigma,
+        n_samples=spec.n_samples, seed=spec.seed,
+    )
+    return price_statistical(vdd, vt, period_s, spec)
+
+
+def _sweep(locus_point, vts, skip_infeasible, span):
+    """``locus_point(vt)`` over ``vts`` under the obs span ``span``.
+
+    Infeasible V_T are dropped when ``skip_infeasible``, else their
+    error surfaces; a locus with no feasible point is an error.
+    """
+    if not vts:
+        raise OptimizationError("empty V_T sweep")
+    points: List[OperatingPoint] = []
+    with obs.span(span):
+        for vt in vts:
+            try:
+                points.append(locus_point(vt))
+            except OptimizationError:
+                if not skip_infeasible:
+                    raise
+    if not points:
+        raise OptimizationError(
+            "no feasible V_T in the sweep for this delay target"
+        )
+    return points
+
+
+def _optimum(locus_point, vt_bounds, tolerance, span):
+    """The minimum-energy ``locus_point`` in ``vt_bounds`` (Fig. 4).
+
+    Coarse scan plus golden section (:func:`_bracketed_golden_minimum`)
+    under the obs span ``span``; an infeasible V_T prices at +inf.
+    """
+    low, high = float(vt_bounds[0]), float(vt_bounds[1])
+
+    def energy(vt: float) -> float:
+        if obs.ENABLED:
+            obs.incr("optimizer.golden_probes")
+        try:
+            return locus_point(vt).energy_per_cycle_j
+        except OptimizationError:
+            return float("inf")
+
+    with obs.span(span):
+        return locus_point(
+            _bracketed_golden_minimum(energy, low, high, tolerance)
+        )
+
+
+def _check_period(seconds: float, what: str) -> None:
+    """Reject a leakage window that is not positive and finite."""
+    if not 0.0 < seconds < math.inf:
+        raise OptimizationError(f"{what} must be positive and finite")
+
+
+def _statistical_point(
+    technology, variation, vt, vdd, period_s, *, units, switching,
+    leakages, nominal_leakage, stage_delay_s, delay_percentile_s,
+):
+    """A yield-mode point with leakage priced at the sampled mean.
+
+    ``leakages`` are one unit's leakage currents over the variation's
+    shift vector and ``nominal_leakage`` its current at shift 0;
+    ``units`` identical units (ring stages, or 1 for a module) leak for
+    ``period_s``.  The measured amplification (sampled mean over
+    nominal) is reported next to the closed-form
+    :func:`repro.analysis.variation.lognormal_leakage_amplification`
+    prediction as a cross-check (they agree up to stack-effect and
+    sampling corrections), on the point and as obs gauges.
+    """
+    mean_leakage = sum(leakages) / len(leakages)
+    amplification = (
+        mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
+    )
+    predicted = lognormal_leakage_amplification(
+        variation.vt_sigma,
+        technology.transistors.nmos.subthreshold_swing,
+    )
+    if obs.ENABLED:
+        obs.gauge("optimizer.leakage_amplification", amplification)
+        obs.gauge("optimizer.leakage_amplification_lognormal", predicted)
+    leakage = units * mean_leakage * vdd * period_s
+    return StatisticalOperatingPoint(
+        vt=vt,
+        vdd=vdd,
+        stage_delay_s=stage_delay_s,
+        energy_per_cycle_j=switching + leakage,
+        switching_energy_j=switching,
+        leakage_energy_j=leakage,
+        percentile=variation.percentile,
+        delay_percentile_s=delay_percentile_s,
+        leakage_amplification=amplification,
+        lognormal_amplification=predicted,
+    )
+
+
 def _percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100].
 
-    Replicates :meth:`repro.analysis.variation.Distribution.percentile`
-    exactly (same order statistics, same interpolation) so yield solves
-    agree bit-for-bit with the Monte-Carlo analyzer's view of the same
-    samples.
+    The same order statistics and interpolation as
+    :meth:`repro.analysis.variation.Distribution.percentile` (both are
+    :func:`~repro.analysis.variation._sorted_percentile`), so yield
+    solves agree bit-for-bit with the Monte-Carlo analyzer's view of
+    the same samples.
     """
-    ordered = sorted(values)
-    position = p / 100.0 * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    return _sorted_percentile(sorted(values), p)
 
 
 @dataclass(frozen=True)
@@ -160,17 +342,14 @@ class VariationSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.percentile <= 100.0:
             raise OptimizationError("percentile must be in [0, 100]")
-        if self.vt_sigma < 0.0:
-            raise OptimizationError("vt_sigma must be >= 0")
+        if not 0.0 <= self.vt_sigma < math.inf:
+            raise OptimizationError("vt_sigma must be >= 0 and finite")
         if self.n_samples < 2:
             raise OptimizationError("need at least two samples")
 
     def draw_shifts(self) -> List[float]:
         """The deterministic Gaussian V_T shift vector for this spec."""
-        rng = random.Random(self.seed)
-        return [
-            rng.gauss(0.0, self.vt_sigma) for _ in range(self.n_samples)
-        ]
+        return _gaussian_shifts(self.vt_sigma, self.n_samples, self.seed)
 
 
 @dataclass(frozen=True)
@@ -371,51 +550,22 @@ class RingOscillatorModel:
     ) -> float:
         """Supply voltage giving the target stage delay (Fig. 3).
 
-        Delay decreases monotonically with V_DD, so bisection applies.
-        If the ring already meets the target at the *low* V_DD bound,
-        the solve clamps and returns ``low`` — the structure simply
-        runs faster than required at the minimum supply (the same
-        semantics as
-        :meth:`ModuleThroughputOptimizer.solve_vdd_for_delay`; energy
-        accounting still integrates leakage over the target period).
-
-        Raises
-        ------
-        OptimizationError
-            If the target is unreachable inside the bounds (too slow
-            even at max V_DD).
+        Clamp and unreachable semantics are :func:`_solve_supply`'s,
+        shared with :meth:`ModuleThroughputOptimizer.
+        solve_vdd_for_delay`.  One decoded plan serves the bracket
+        checks and every bisection step: the V_DD-invariant drive
+        devices and capacitance geometry are resolved once per solve,
+        and each probe is bit-identical to a :meth:`stage_delay` call
+        at the same corner.  Plan-kernel probes bypass the
+        characterizer memo, so ``optimizer.delay_probes`` keeps
+        matching the characterizer's fanout-family traffic: both drop
+        the solve's internal probes together.
         """
-        if target_stage_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.vdd_solves")
-        # One decoded plan serves the bracket checks and every
-        # bisection step: the V_DD-invariant drive devices and
-        # capacitance geometry are resolved once per solve instead of
-        # once per probe, and each probe is bit-identical to a
-        # stage_delay call at the same corner.
-        plan = self._corner(vt).plan_operating(self._inverter, fanout=1)
-        delay_at = plan.delay
-        if delay_at(high) > target_stage_delay_s:
-            raise OptimizationError(
-                f"target {target_stage_delay_s:.3e} s unreachable: still "
-                f"slower at V_DD = {high} V (V_T = {vt} V)"
-            )
-        if delay_at(low) < target_stage_delay_s:
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        # Plan-kernel probes bypass the characterizer memo, so
-        # ``optimizer.delay_probes`` keeps matching the characterizer's
-        # fanout-family traffic: both drop the solve's internal probes
-        # together.
-        return _bisect_supply(
-            lambda vdd: delay_at(vdd) > target_stage_delay_s, low, high
+        return _solve_supply(
+            self.technology, target_stage_delay_s, vt, vdd_bounds, None,
+            lambda: self._corner(vt).plan_operating(
+                self._inverter, fanout=1
+            ).delay,
         )
 
     def energy_per_cycle(
@@ -428,8 +578,7 @@ class RingOscillatorModel:
         is the term that turns the energy-vs-V_T curve back up at low
         V_T (Fig. 4).
         """
-        if cycle_time_s <= 0.0:
-            raise OptimizationError("cycle time must be positive")
+        _check_period(cycle_time_s, "cycle time")
         # The plan's energies kernel returns the raw (E_transition,
         # I_leak) pair — the same floats the scalar input_capacitance /
         # energy_per_transition / leakage_current chain produced — so
@@ -481,55 +630,26 @@ class RingOscillatorModel:
     ) -> float:
         """Supply at which the p-th percentile delay meets the target.
 
-        The yield-constrained twin of :meth:`solve_vdd_for_delay`: the
-        shift vector is drawn **once per solve** and reused across
-        every probed V_DD, so each sample's delay — and therefore every
-        order statistic of the distribution — decreases monotonically
-        with V_DD and bisection applies.  Clamping at the low bound
-        keeps the nominal solve's semantics: the p-th percentile corner
-        is already fast enough at the minimum supply.
-
-        Raises
-        ------
-        OptimizationError
-            If the p-th percentile corner still misses the target at
-            the high V_DD bound.
+        The yield-constrained twin of :meth:`solve_vdd_for_delay`, with
+        the same clamp and unreachable semantics: the shift vector is
+        drawn **once per solve** and reused across every probed V_DD,
+        so each sample's delay — and therefore every order statistic
+        of the distribution — decreases monotonically with V_DD.
         """
-        if target_stage_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
         spec = VariationSpec(
             percentile=percentile, vt_sigma=vt_sigma,
             n_samples=n_samples, seed=seed,
         )
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.yield_solves")
-        shifts = spec.draw_shifts()
-        if (
-            self._stage_delay_percentile(high, vt, shifts, percentile)
-            > target_stage_delay_s
-        ):
-            raise OptimizationError(
-                f"p{percentile:g} target {target_stage_delay_s:.3e} s "
-                f"unreachable: still slower at V_DD = {high} V "
-                f"(V_T = {vt} V, sigma = {vt_sigma} V)"
-            )
-        if (
-            self._stage_delay_percentile(low, vt, shifts, percentile)
-            < target_stage_delay_s
-        ):
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        return _bisect_supply(
-            lambda vdd: self._stage_delay_percentile(
+
+        def percentile_delay():
+            shifts = spec.draw_shifts()
+            return lambda vdd: self._stage_delay_percentile(
                 vdd, vt, shifts, percentile
-            ) > target_stage_delay_s,
-            low, high,
+            )
+
+        return _solve_supply(
+            self.technology, target_stage_delay_s, vt, vdd_bounds, spec,
+            percentile_delay,
         )
 
     def statistical_energy_per_cycle(
@@ -544,53 +664,28 @@ class RingOscillatorModel:
         Switching energy is shift-independent (C and V_DD do not vary
         here), but leakage is exponential in V_T, so the sampled mean
         exceeds the nominal corner's leakage — the lognormal mean
-        amplification.  The measured amplification is reported next to
-        the closed-form :func:`repro.analysis.variation.
-        lognormal_leakage_amplification` prediction as a cross-check
-        (they agree up to stack-effect and sampling corrections).
+        amplification (see :func:`_statistical_point`).
         """
-        from repro.analysis.variation import lognormal_leakage_amplification
-
-        if cycle_time_s <= 0.0:
-            raise OptimizationError("cycle time must be positive")
+        _check_period(cycle_time_s, "cycle time")
         shifts = variation.draw_shifts()
         corner = self._corner(vt)
         load = self._inverter.input_capacitance(corner.technology, vdd)
         switching_per_stage = corner.energy_per_transition(
             self._inverter, vdd, load
         )
-        switching = self.stages * self.activity * switching_per_stage
         leakage_plan = corner.plan_variation(self._inverter, vdd, 0.0)
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        leakages = leakage_plan.leakages(shifts)
-        mean_leakage = sum(leakages) / len(leakages)
-        nominal_leakage = corner.leakage_current(self._inverter, vdd)
-        amplification = (
-            mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
-        )
-        predicted = lognormal_leakage_amplification(
-            variation.vt_sigma,
-            self.technology.transistors.nmos.subthreshold_swing,
-        )
-        if obs.ENABLED:
-            obs.gauge("optimizer.leakage_amplification", amplification)
-            obs.gauge("optimizer.leakage_amplification_lognormal", predicted)
-        leakage = self.stages * mean_leakage * vdd * cycle_time_s
-        delay_percentile = self._stage_delay_percentile(
-            vdd, vt, shifts, variation.percentile
-        )
-        return StatisticalOperatingPoint(
-            vt=vt,
-            vdd=vdd,
+        return _statistical_point(
+            self.technology, variation, vt, vdd, cycle_time_s,
+            units=self.stages,
+            switching=self.stages * self.activity * switching_per_stage,
+            leakages=leakage_plan.leakages(shifts),
+            nominal_leakage=corner.leakage_current(self._inverter, vdd),
             stage_delay_s=self.stage_delay(vdd, vt),
-            energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
-            percentile=variation.percentile,
-            delay_percentile_s=delay_percentile,
-            leakage_amplification=amplification,
-            lognormal_amplification=predicted,
+            delay_percentile_s=self._stage_delay_percentile(
+                vdd, vt, shifts, variation.percentile
+            ),
         )
 
 
@@ -634,21 +729,12 @@ class FixedThroughputOptimizer:
         :class:`StatisticalOperatingPoint` at the yield-constrained
         supply instead of the nominal one.
         """
-        spec = self.variation
-        if spec is None:
-            vdd = self.ring.solve_vdd_for_delay(target_stage_delay_s, vt)
-            cycle = self.cycle_stages * target_stage_delay_s
-            return self.ring.energy_per_cycle(vdd, vt, cycle)
-        vdd = self.ring.solve_vdd_for_yield(
-            target_stage_delay_s,
-            vt,
-            percentile=spec.percentile,
-            vt_sigma=spec.vt_sigma,
-            n_samples=spec.n_samples,
-            seed=spec.seed,
+        ring = self.ring
+        return _locus_point(
+            ring, ring.energy_per_cycle, ring.statistical_energy_per_cycle,
+            vt, target_stage_delay_s,
+            self.cycle_stages * target_stage_delay_s, self.variation,
         )
-        cycle = self.cycle_stages * target_stage_delay_s
-        return self.ring.statistical_energy_per_cycle(vdd, vt, cycle, spec)
 
     def sweep(
         self,
@@ -665,23 +751,10 @@ class FixedThroughputOptimizer:
         evaluated through batched kernels while staying bit-identical
         to the scalar per-probe chain.
         """
-        if not vts:
-            raise OptimizationError("empty V_T sweep")
-        points: List[OperatingPoint] = []
-        with obs.span("optimizer.sweep"):
-            for vt in vts:
-                try:
-                    points.append(
-                        self.locus_point(vt, target_stage_delay_s)
-                    )
-                except OptimizationError:
-                    if not skip_infeasible:
-                        raise
-        if not points:
-            raise OptimizationError(
-                "no feasible V_T in the sweep for this delay target"
-            )
-        return points
+        return _sweep(
+            lambda vt: self.locus_point(vt, target_stage_delay_s),
+            vts, skip_infeasible, "optimizer.sweep",
+        )
 
     def optimum(
         self,
@@ -696,23 +769,10 @@ class FixedThroughputOptimizer:
         solve_vdd_for_delay`) makes the energy landscape bimodal for
         targets the ring already meets at the minimum supply.
         """
-        low, high = float(vt_bounds[0]), float(vt_bounds[1])
-        if not low < high:
-            raise OptimizationError(f"bad vt bounds [{low}, {high}]")
-
-        def energy(vt: float) -> float:
-            if obs.ENABLED:
-                obs.incr("optimizer.golden_probes")
-            try:
-                return self.locus_point(vt, target_stage_delay_s).energy_per_cycle_j
-            except OptimizationError:
-                return float("inf")
-
-        with obs.span("optimizer.optimum"):
-            best_vt = _bracketed_golden_minimum(
-                energy, low, high, tolerance
-            )
-            return self.locus_point(best_vt, target_stage_delay_s)
+        return _optimum(
+            lambda vt: self.locus_point(vt, target_stage_delay_s),
+            vt_bounds, tolerance, "optimizer.optimum",
+        )
 
 
 class ModuleThroughputOptimizer:
@@ -794,30 +854,13 @@ class ModuleThroughputOptimizer:
         """Supply meeting the delay target at one V_T (Fig. 3).
 
         Clamps to the low V_DD bound when the module is already faster
-        than the target there (the shared low-bound semantics — see
-        :meth:`RingOscillatorModel.solve_vdd_for_delay`); raises only
-        when the target is unreachable at the *high* bound.
+        than the target there, and raises only when the target is
+        unreachable at the *high* bound (:func:`_solve_supply`, shared
+        with :meth:`RingOscillatorModel.solve_vdd_for_delay`).
         """
-        if target_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.vdd_solves")
-        if self.delay(high, vt) > target_delay_s:
-            raise OptimizationError(
-                f"target {target_delay_s:.3e} s unreachable at "
-                f"V_DD = {high} V (V_T = {vt} V)"
-            )
-        if self.delay(low, vt) < target_delay_s:
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        return _bisect_supply(
-            lambda vdd: self.delay(vdd, vt) > target_delay_s, low, high
+        return _solve_supply(
+            self.technology, target_delay_s, vt, vdd_bounds, None,
+            lambda: lambda vdd: self.delay(vdd, vt),
         )
 
     def _delay_percentile(
@@ -834,21 +877,16 @@ class ModuleThroughputOptimizer:
         vector equals the delay evaluated at the *sorted shift vector*.
         The percentile therefore needs only the two bracketing shift
         order statistics — two STA runs per probe instead of
-        ``n_samples`` — and is exactly equal to the full-vector
-        percentile it shortcuts.
+        ``n_samples``, one when it lands on an order statistic — and
+        is exactly equal to the full-vector percentile it shortcuts.
         """
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        position = percentile / 100.0 * (len(ordered_shifts) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered_shifts) - 1)
-        fraction = position - low
         base = self._shift(vt)
-        delay_low = self._delay_at_shift(vdd, base + ordered_shifts[low])
-        if high == low or fraction == 0.0:
-            return delay_low
-        delay_high = self._delay_at_shift(vdd, base + ordered_shifts[high])
-        return delay_low * (1.0 - fraction) + delay_high * fraction
+        return _sorted_percentile(
+            ordered_shifts, percentile,
+            lambda shift: self._delay_at_shift(vdd, base + shift),
+        )
 
     def solve_vdd_for_yield(
         self,
@@ -869,49 +907,27 @@ class ModuleThroughputOptimizer:
         V_DD and bisection applies.  Low-bound clamp and unreachable
         semantics mirror :meth:`solve_vdd_for_delay`.
         """
-        if target_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
         spec = VariationSpec(
             percentile=percentile, vt_sigma=vt_sigma,
             n_samples=n_samples, seed=seed,
         )
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.yield_solves")
-        ordered = sorted(spec.draw_shifts())
-        if (
-            self._delay_percentile(high, vt, ordered, percentile)
-            > target_delay_s
-        ):
-            raise OptimizationError(
-                f"p{percentile:g} target {target_delay_s:.3e} s "
-                f"unreachable: still slower at V_DD = {high} V "
-                f"(V_T = {vt} V, sigma = {vt_sigma} V)"
-            )
-        if (
-            self._delay_percentile(low, vt, ordered, percentile)
-            < target_delay_s
-        ):
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        return _bisect_supply(
-            lambda vdd: self._delay_percentile(
+
+        def percentile_delay():
+            ordered = sorted(spec.draw_shifts())
+            return lambda vdd: self._delay_percentile(
                 vdd, vt, ordered, percentile
-            ) > target_delay_s,
-            low, high,
+            )
+
+        return _solve_supply(
+            self.technology, target_delay_s, vt, vdd_bounds, spec,
+            percentile_delay,
         )
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float
     ) -> OperatingPoint:
         """Switching + leakage energy for one operation period [J]."""
-        if operation_time_s <= 0.0:
-            raise OptimizationError("operation time must be positive")
+        _check_period(operation_time_s, "operation time")
         switching = self.report.switching_energy_per_cycle(
             self.netlist, self.technology, vdd, self._wire
         )
@@ -938,55 +954,28 @@ class ModuleThroughputOptimizer:
     ) -> StatisticalOperatingPoint:
         """Operation energy with leakage priced at the sampled mean [J].
 
-        Leakage current is averaged over the full shift vector (the
-        lognormal amplification the paper's subthreshold model implies)
-        and cross-checked against the closed-form
-        ``lognormal_leakage_amplification`` prediction; both ratios are
-        reported on the returned point and as obs gauges.
+        The module's leakage current is averaged over the full shift
+        vector (the lognormal amplification the paper's subthreshold
+        model implies; see :func:`_statistical_point`).
         """
-        from repro.analysis.variation import (
-            lognormal_leakage_amplification,
-        )
-
-        if operation_time_s <= 0.0:
-            raise OptimizationError("operation time must be positive")
+        _check_period(operation_time_s, "operation time")
         shifts = variation.draw_shifts()
         base = self._shift(vt)
-        switching = self.report.switching_energy_per_cycle(
-            self.netlist, self.technology, vdd, self._wire
-        )
-        currents = [
-            self._estimator.leakage_current(vdd, base + s) for s in shifts
-        ]
-        mean_leakage = sum(currents) / len(currents)
-        nominal_leakage = self._estimator.leakage_current(vdd, base)
-        amplification = (
-            mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
-        )
-        predicted = lognormal_leakage_amplification(
-            variation.vt_sigma,
-            self.technology.transistors.nmos.subthreshold_swing,
-        )
-        if obs.ENABLED:
-            obs.gauge("optimizer.leakage_amplification", amplification)
-            obs.gauge(
-                "optimizer.leakage_amplification_lognormal", predicted
-            )
-        leakage = mean_leakage * vdd * operation_time_s
-        delay_percentile = self._delay_percentile(
-            vdd, vt, sorted(shifts), variation.percentile
-        )
-        return StatisticalOperatingPoint(
-            vt=vt,
-            vdd=vdd,
+        return _statistical_point(
+            self.technology, variation, vt, vdd, operation_time_s,
+            units=1,
+            switching=self.report.switching_energy_per_cycle(
+                self.netlist, self.technology, vdd, self._wire
+            ),
+            leakages=[
+                self._estimator.leakage_current(vdd, base + s)
+                for s in shifts
+            ],
+            nominal_leakage=self._estimator.leakage_current(vdd, base),
             stage_delay_s=self.delay(vdd, vt),
-            energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
-            percentile=variation.percentile,
-            delay_percentile_s=delay_percentile,
-            leakage_amplification=amplification,
-            lognormal_amplification=predicted,
+            delay_percentile_s=self._delay_percentile(
+                vdd, vt, sorted(shifts), variation.percentile
+            ),
         )
 
     def locus_point(
@@ -1002,22 +991,10 @@ class ModuleThroughputOptimizer:
         """
         if not 0.0 < utilization <= 1.0:
             raise OptimizationError("utilization must be in (0, 1]")
-        spec = self.variation
-        if spec is None:
-            vdd = self.solve_vdd_for_delay(target_delay_s, vt)
-            return self.energy_per_operation(
-                vdd, vt, target_delay_s / utilization
-            )
-        vdd = self.solve_vdd_for_yield(
-            target_delay_s,
-            vt,
-            percentile=spec.percentile,
-            vt_sigma=spec.vt_sigma,
-            n_samples=spec.n_samples,
-            seed=spec.seed,
-        )
-        return self.statistical_energy_per_operation(
-            vdd, vt, target_delay_s / utilization, spec
+        return _locus_point(
+            self, self.energy_per_operation,
+            self.statistical_energy_per_operation, vt, target_delay_s,
+            target_delay_s / utilization, self.variation,
         )
 
     def sweep(
@@ -1035,23 +1012,10 @@ class ModuleThroughputOptimizer:
         lets configuration errors (bad utilization, unreachable
         targets) surface instead of being silently swallowed.
         """
-        if not vts:
-            raise OptimizationError("empty V_T sweep")
-        points = []
-        with obs.span("optimizer.module_sweep"):
-            for vt in vts:
-                try:
-                    points.append(
-                        self.locus_point(vt, target_delay_s, utilization)
-                    )
-                except OptimizationError:
-                    if not skip_infeasible:
-                        raise
-        if not points:
-            raise OptimizationError(
-                "no feasible V_T in the sweep for this delay target"
-            )
-        return points
+        return _sweep(
+            lambda vt: self.locus_point(vt, target_delay_s, utilization),
+            vts, skip_infeasible, "optimizer.module_sweep",
+        )
 
     def optimum(
         self,
@@ -1066,22 +1030,7 @@ class ModuleThroughputOptimizer:
         :meth:`FixedThroughputOptimizer.optimum` — the shared low-bound
         clamp makes the landscape bimodal for relaxed targets here too.
         """
-        low, high = float(vt_bounds[0]), float(vt_bounds[1])
-        if not low < high:
-            raise OptimizationError(f"bad vt bounds [{low}, {high}]")
-
-        def energy(vt: float) -> float:
-            if obs.ENABLED:
-                obs.incr("optimizer.golden_probes")
-            try:
-                return self.locus_point(
-                    vt, target_delay_s, utilization
-                ).energy_per_cycle_j
-            except OptimizationError:
-                return float("inf")
-
-        with obs.span("optimizer.module_optimum"):
-            best_vt = _bracketed_golden_minimum(
-                energy, low, high, tolerance
-            )
-            return self.locus_point(best_vt, target_delay_s, utilization)
+        return _optimum(
+            lambda vt: self.locus_point(vt, target_delay_s, utilization),
+            vt_bounds, tolerance, "optimizer.module_optimum",
+        )
